@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iostream>
+#include <span>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -38,7 +39,7 @@ using namespace recpriv;  // NOLINT
 /// Variant 1: uniform (non-frequency-preserving) sampling of s_g records,
 /// then perturb and scale. Sampling is hypergeometric per SA value.
 Result<std::vector<uint64_t>> UniformSampleSps(
-    const core::PrivacyParams& params, const std::vector<uint64_t>& counts,
+    const core::PrivacyParams& params, std::span<const uint64_t> counts,
     Rng& rng) {
   const perturb::UniformPerturbation up{params.retention_p, params.domain_m};
   uint64_t size = 0, max_count = 0;
@@ -76,7 +77,7 @@ Result<std::vector<uint64_t>> UniformSampleSps(
 
 /// Variant 2: SPS without the Scaling step (publish the small sample).
 Result<std::vector<uint64_t>> NoScalingSps(const core::PrivacyParams& params,
-                                           const std::vector<uint64_t>& counts,
+                                           std::span<const uint64_t> counts,
                                            Rng& rng) {
   const perturb::UniformPerturbation up{params.retention_p, params.domain_m};
   uint64_t size = 0, max_count = 0;
@@ -95,7 +96,7 @@ Result<std::vector<uint64_t>> NoScalingSps(const core::PrivacyParams& params,
 
 /// Variant 3: the rejected alternative — reduce the global retention p
 /// until every group satisfies privacy, then plain UP.
-double LargestPrivateP(const recpriv::table::GroupIndex& index,
+double LargestPrivateP(const recpriv::table::FlatGroupIndex& index,
                        const core::PrivacyParams& base) {
   double lo = 0.001, hi = base.retention_p;
   for (int iter = 0; iter < 60; ++iter) {
@@ -113,13 +114,13 @@ double LargestPrivateP(const recpriv::table::GroupIndex& index,
 }
 
 Result<query::PerturbedGroups> RunVariant(
-    const recpriv::table::GroupIndex& index,
+    const recpriv::table::FlatGroupIndex& index,
     const core::PrivacyParams& params, int variant, Rng& rng) {
   query::PerturbedGroups out;
-  for (const auto& g : index.groups()) {
+  for (size_t gi = 0; gi < index.num_groups(); ++gi) {
     Result<std::vector<uint64_t>> observed =
-        variant == 1 ? UniformSampleSps(params, g.sa_counts, rng)
-                     : NoScalingSps(params, g.sa_counts, rng);
+        variant == 1 ? UniformSampleSps(params, index.sa_counts(gi), rng)
+                     : NoScalingSps(params, index.sa_counts(gi), rng);
     RECPRIV_RETURN_NOT_OK(observed.status());
     uint64_t size = 0;
     for (uint64_t c : *observed) size += c;
@@ -148,7 +149,7 @@ int Run() {
     for (size_t i = 0; i < runs; ++i) {
       RECPRIV_ASSIGN_OR_RETURN(query::PerturbedGroups groups,
                                make_groups(rng));
-      total += query::EvaluateRelativeError(ds->pool, ds->flat_index, groups,
+      total += query::EvaluateRelativeError(ds->pool, ds->index, groups,
                                             params.retention_p)
                    .mean_relative_error;
     }
@@ -158,13 +159,13 @@ int Run() {
   exp::AsciiTable out({"variant", "mean relative error", "notes"});
 
   auto up_err = evaluate([&](Rng& rng) {
-    return query::PerturbAllGroups(ds->flat_index, params.retention_p, rng);
+    return query::PerturbAllGroups(ds->index, params.retention_p, rng);
   });
   out.AddRow({"UP (no enforcement)", FormatDouble(*up_err, 4),
               "violates reconstruction privacy"});
 
   auto sps_err = evaluate(
-      [&](Rng& rng) { return query::SpsAllGroups(ds->flat_index, params, rng); });
+      [&](Rng& rng) { return query::SpsAllGroups(ds->index, params, rng); });
   out.AddRow({"SPS (paper)", FormatDouble(*sps_err, 4),
               "frequency-preserving sample + scale"});
 
@@ -184,7 +185,7 @@ int Run() {
   core::PrivacyParams reduced = params;
   reduced.retention_p = std::max(p_prime, 0.001);
   auto reduced_err = evaluate([&](Rng& rng) {
-    return query::PerturbAllGroups(ds->flat_index, reduced.retention_p, rng);
+    return query::PerturbAllGroups(ds->index, reduced.retention_p, rng);
   });
   out.AddRow({"reduce-p alternative (p'=" + FormatDouble(p_prime, 3) + ")",
               FormatDouble(*reduced_err, 4),

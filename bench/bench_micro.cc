@@ -14,7 +14,7 @@
 #include "perturb/uniform_perturbation.h"
 #include "query/evaluation.h"
 #include "table/flat_group_index.h"
-#include "table/group_index.h"
+#include "table/group_order.h"
 
 namespace {
 
@@ -84,18 +84,17 @@ void BM_MleFrequencies(benchmark::State& state) {
 }
 BENCHMARK(BM_MleFrequencies)->Arg(2)->Arg(50);
 
-void BM_GroupIndexBuild45K(benchmark::State& state) {
+// SPS's preprocessing sort: packed keys, unstable sort of row ids.
+void BM_SortIntoGroups45K(benchmark::State& state) {
   for (auto _ : state) {
-    auto idx = table::GroupIndex::Build(AdultTable());
-    benchmark::DoNotOptimize(idx);
+    auto order = table::SortIntoGroups(AdultTable());
+    benchmark::DoNotOptimize(order);
   }
   state.SetItemsProcessed(state.iterations() * AdultTable().num_rows());
 }
-BENCHMARK(BM_GroupIndexBuild45K);
+BENCHMARK(BM_SortIntoGroups45K);
 
-// The columnar counterpart: packed-key radix build (see
-// table/flat_group_index.h and bench_group_index for the full old-vs-new
-// comparison).
+// The columnar index: packed-key radix build (see bench_group_index).
 void BM_FlatGroupIndexBuild45K(benchmark::State& state) {
   for (auto _ : state) {
     auto idx = table::FlatGroupIndex::Build(AdultTable());
@@ -147,7 +146,7 @@ void BM_MatchingGroupsAllocPerQuery(benchmark::State& state) {
   for (auto _ : state) {
     size_t matched = 0;
     for (const auto& q : ds.pool) {
-      std::vector<size_t> groups = ds.index.MatchingGroups(q.na_predicate);
+      std::vector<uint32_t> groups = ds.index.MatchingGroups(q.na_predicate);
       matched += groups.size();
     }
     benchmark::DoNotOptimize(matched);
@@ -158,7 +157,7 @@ BENCHMARK(BM_MatchingGroupsAllocPerQuery);
 
 void BM_MatchingGroupsScratchReuse(benchmark::State& state) {
   const auto& ds = Prepared();
-  std::vector<size_t> scratch;
+  std::vector<uint32_t> scratch;
   for (auto _ : state) {
     size_t matched = 0;
     for (const auto& q : ds.pool) {
@@ -174,10 +173,10 @@ BENCHMARK(BM_MatchingGroupsScratchReuse);
 void BM_QueryEvaluation1K(benchmark::State& state) {
   Rng rng(7);
   const auto& ds = Prepared();
-  auto perturbed = *query::PerturbAllGroups(ds.flat_index, 0.5, rng);
+  auto perturbed = *query::PerturbAllGroups(ds.index, 0.5, rng);
   for (auto _ : state) {
     auto result =
-        query::EvaluateRelativeError(ds.pool, ds.flat_index, perturbed, 0.5);
+        query::EvaluateRelativeError(ds.pool, ds.index, perturbed, 0.5);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() * ds.pool.size());

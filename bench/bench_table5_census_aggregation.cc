@@ -10,7 +10,7 @@
 #include "common/string_util.h"
 #include "exp/experiment.h"
 #include "exp/reporting.h"
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 
 namespace {
 
@@ -36,7 +36,7 @@ int Run() {
       row.push_back(std::to_string(after ? merge.domain_after
                                          : merge.domain_before));
     }
-    const table::GroupIndex& idx = after ? ds->index : ds->raw_index;
+    const table::FlatGroupIndex& idx = after ? ds->index : ds->raw_index;
     row.push_back(std::to_string(idx.num_groups()));
     row.push_back(FormatDouble(idx.AverageGroupSize(), 4));
     out.AddRow(std::move(row));

@@ -58,7 +58,7 @@ int main() {
   params.retention_p = 0.5; // perturbation retention probability
   params.domain_m = publishable.schema()->sa_domain_size();
 
-  table::GroupIndex index = table::GroupIndex::Build(publishable);
+  table::FlatGroupIndex index = table::FlatGroupIndex::Build(publishable);
   core::ViolationReport audit = core::AuditViolations(index, params);
   std::cout << "under plain uniform perturbation: " << audit.violating_groups
             << "/" << audit.num_groups << " personal groups would violate ("

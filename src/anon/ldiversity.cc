@@ -7,9 +7,9 @@
 
 namespace recpriv::anon {
 
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 
-double HistogramEntropy(const std::vector<uint64_t>& counts) {
+double HistogramEntropy(std::span<const uint64_t> counts) {
   uint64_t total = 0;
   for (uint64_t c : counts) total += c;
   if (total == 0) return 0.0;
@@ -22,14 +22,15 @@ double HistogramEntropy(const std::vector<uint64_t>& counts) {
   return entropy;
 }
 
-DiversityReport CheckDistinctLDiversity(const GroupIndex& index, size_t l) {
+DiversityReport CheckDistinctLDiversity(const FlatGroupIndex& index,
+                                        size_t l) {
   RECPRIV_CHECK(l >= 1) << "l must be >= 1";
   DiversityReport report;
   report.num_groups = index.num_groups();
   report.weakest = std::numeric_limits<double>::infinity();
-  for (size_t gi = 0; gi < index.groups().size(); ++gi) {
+  for (size_t gi = 0; gi < index.num_groups(); ++gi) {
     size_t distinct = 0;
-    for (uint64_t c : index.groups()[gi].sa_counts) distinct += (c > 0);
+    for (uint64_t c : index.sa_counts(gi)) distinct += (c > 0);
     report.weakest = std::min(report.weakest, double(distinct));
     if (distinct < l) {
       ++report.failing_groups;
@@ -40,14 +41,15 @@ DiversityReport CheckDistinctLDiversity(const GroupIndex& index, size_t l) {
   return report;
 }
 
-DiversityReport CheckEntropyLDiversity(const GroupIndex& index, double l) {
+DiversityReport CheckEntropyLDiversity(const FlatGroupIndex& index,
+                                       double l) {
   RECPRIV_CHECK(l >= 1.0) << "l must be >= 1";
   DiversityReport report;
   report.num_groups = index.num_groups();
   report.weakest = std::numeric_limits<double>::infinity();
   const double threshold = std::log(l);
-  for (size_t gi = 0; gi < index.groups().size(); ++gi) {
-    const double entropy = HistogramEntropy(index.groups()[gi].sa_counts);
+  for (size_t gi = 0; gi < index.num_groups(); ++gi) {
+    const double entropy = HistogramEntropy(index.sa_counts(gi));
     report.weakest = std::min(report.weakest, entropy);
     if (entropy < threshold) {
       ++report.failing_groups;

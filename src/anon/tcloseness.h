@@ -12,11 +12,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 #include "table/table.h"
 
 namespace recpriv::anon {
@@ -32,12 +34,12 @@ struct TClosenessReport {
 };
 
 /// Total variation distance between two count histograms (as fractions).
-double TotalVariationDistance(const std::vector<uint64_t>& counts,
-                              const std::vector<uint64_t>& reference);
+double TotalVariationDistance(std::span<const uint64_t> counts,
+                              std::span<const uint64_t> reference);
 
 /// Checks t-closeness of every personal group against the global SA
 /// distribution. Requires t in [0, 1].
-TClosenessReport CheckTCloseness(const recpriv::table::GroupIndex& index,
+TClosenessReport CheckTCloseness(const recpriv::table::FlatGroupIndex& index,
                                  double t);
 
 /// Enforces t-closeness by SMOOTHING: for each failing group, blends its SA

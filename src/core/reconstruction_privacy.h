@@ -20,7 +20,6 @@
 
 #include "common/result.h"
 #include "stats/chernoff.h"
-#include "table/group_index.h"
 
 namespace recpriv::core {
 
@@ -51,10 +50,6 @@ bool ValueIsPrivate(const PrivacyParams& params, uint64_t group_size,
 /// frequency (Eq. 10 discussion).
 bool GroupIsPrivate(const PrivacyParams& params, uint64_t group_size,
                     double max_frequency);
-
-/// Convenience overload over an indexed personal group.
-bool GroupIsPrivate(const PrivacyParams& params,
-                    const recpriv::table::PersonalGroup& group);
 
 /// Diagnostic: the best (smallest) Chernoff upper bound min{U, L} the
 /// adversary can put on a lambda-relative error for this value; the value

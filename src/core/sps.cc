@@ -1,16 +1,18 @@
 #include "core/sps.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "perturb/uniform_perturbation.h"
+#include "table/group_order.h"
 
 namespace recpriv::core {
 
 using recpriv::perturb::PerturbCounts;
 using recpriv::perturb::PerturbValue;
 using recpriv::perturb::UniformPerturbation;
-using recpriv::table::GroupIndex;
-using recpriv::table::PersonalGroup;
+using recpriv::table::GroupOrder;
+using recpriv::table::SortIntoGroups;
 using recpriv::table::Table;
 
 std::vector<uint64_t> FrequencyPreservingSample(
@@ -98,69 +100,88 @@ Result<SpsTableResult> SpsPerturbTable(const PrivacyParams& params,
         "params.domain_m does not match table SA domain size");
   }
   const UniformPerturbation up{params.retention_p, params.domain_m};
+  const size_t m = params.domain_m;
   const size_t sa_col = input.schema()->sensitive_index();
-  const size_t num_attrs = input.schema()->num_attributes();
+  const uint32_t* sa = input.column(sa_col).data();
 
   // Preprocessing: sort into personal groups (one O(|D| log |D|) pass).
-  GroupIndex index = GroupIndex::Build(input);
+  const GroupOrder order = SortIntoGroups(input);
 
   SpsTableResult result{Table(input.schema()), SpsStats{}};
-  result.stats.num_groups = index.num_groups();
+  result.stats.num_groups = order.num_groups();
   result.stats.records_in = input.num_rows();
-  result.table.Reserve(input.num_rows());
 
-  std::vector<uint32_t> row(num_attrs);
+  // Output rows as (source row, perturbed SA value); the NA columns are
+  // gathered from the input once at the end.
+  std::vector<size_t> out_rows;
+  std::vector<uint32_t> out_sa;
+  out_rows.reserve(input.num_rows());
+  out_sa.reserve(input.num_rows());
   auto emit = [&](size_t src_row, uint32_t perturbed_sa, uint64_t copies) {
-    if (copies == 0) return;
-    for (size_t c = 0; c < num_attrs; ++c) row[c] = input.at(src_row, c);
-    row[sa_col] = perturbed_sa;
-    for (uint64_t k = 0; k < copies; ++k) {
-      result.table.AppendRowUnchecked(row);
-    }
-    result.stats.records_out += copies;
+    out_rows.insert(out_rows.end(), copies, src_row);
+    out_sa.insert(out_sa.end(), copies, perturbed_sa);
   };
 
-  for (const PersonalGroup& g : index.groups()) {
-    const double s_g = MaxGroupSize(params, g.MaxFrequency());
-    if (static_cast<double>(g.size()) <= s_g) {
+  // Per-group scratch, reused across groups: the SA histogram, the group's
+  // rows bucketed by SA value (bucket v is bucketed[begin[v], begin[v+1])),
+  // and the sampled rows.
+  std::vector<uint64_t> hist(m);
+  std::vector<size_t> begin(m + 1, 0);
+  std::vector<size_t> cursor(m);
+  std::vector<size_t> bucketed;
+  std::vector<size_t> sampled_rows;
+
+  for (size_t gi = 0; gi < order.num_groups(); ++gi) {
+    const std::span<const size_t> rows = order.group(gi);
+    std::fill(hist.begin(), hist.end(), 0);
+    for (size_t r : rows) ++hist[sa[r]];
+    const uint64_t max_count = *std::max_element(hist.begin(), hist.end());
+    const double size = static_cast<double>(rows.size());
+    const double s_g =
+        MaxGroupSize(params, static_cast<double>(max_count) / size);
+    if (size <= s_g) {
       // No sampling: perturb every record in place.
-      for (size_t r : g.rows) {
-        emit(r, PerturbValue(up, input.at(r, sa_col), rng), 1);
-      }
+      for (size_t r : rows) emit(r, PerturbValue(up, sa[r], rng), 1);
       continue;
     }
     ++result.stats.groups_sampled;
 
     // 1. Sampling: per SA value take floor(c tau) + Bernoulli(frac) records.
     // Records within a (group, SA value) bucket are identical, so taking a
-    // prefix of the bucket is "pick any".
-    const double tau = s_g / static_cast<double>(g.size());
-    std::vector<std::vector<size_t>> buckets(params.domain_m);
-    for (size_t r : g.rows) buckets[input.at(r, sa_col)].push_back(r);
+    // prefix of the bucket is "pick any". Buckets keep the group's row
+    // order.
+    const double tau = s_g / size;
+    for (size_t v = 0; v < m; ++v) begin[v + 1] = begin[v] + hist[v];
+    cursor.assign(begin.begin(), begin.end() - 1);
+    bucketed.resize(rows.size());
+    for (size_t r : rows) bucketed[cursor[sa[r]]++] = r;
 
-    std::vector<size_t> sampled_rows;
-    for (const auto& bucket : buckets) {
-      const double target = static_cast<double>(bucket.size()) * tau;
+    sampled_rows.clear();
+    for (size_t v = 0; v < m; ++v) {
+      const double target = static_cast<double>(hist[v]) * tau;
       uint64_t take = static_cast<uint64_t>(std::floor(target));
       if (rng.NextBernoulli(target - std::floor(target))) ++take;
-      take = std::min<uint64_t>(take, bucket.size());
-      for (uint64_t k = 0; k < take; ++k) sampled_rows.push_back(bucket[k]);
+      take = std::min<uint64_t>(take, hist[v]);
+      sampled_rows.insert(sampled_rows.end(), bucketed.begin() + begin[v],
+                          bucketed.begin() + begin[v] + take);
     }
     result.stats.records_sampled += sampled_rows.size();
     if (sampled_rows.empty()) continue;  // degenerate tiny s_g
 
     // 2+3. Perturb each sampled record, then scale by duplication. The
     // single fused scan the paper describes: sample -> perturb -> duplicate.
-    const double tau_prime = static_cast<double>(g.size()) /
-                             static_cast<double>(sampled_rows.size());
+    const double tau_prime = size / static_cast<double>(sampled_rows.size());
     const uint64_t whole = static_cast<uint64_t>(std::floor(tau_prime));
     const double frac = tau_prime - std::floor(tau_prime);
     for (size_t r : sampled_rows) {
-      uint32_t perturbed = PerturbValue(up, input.at(r, sa_col), rng);
+      uint32_t perturbed = PerturbValue(up, sa[r], rng);
       uint64_t copies = whole + (rng.NextBernoulli(frac) ? 1 : 0);
       emit(r, perturbed, copies);
     }
   }
+  result.table = input.Select(out_rows);
+  result.table.mutable_column(sa_col) = std::move(out_sa);
+  result.stats.records_out = out_rows.size();
   return result;
 }
 

@@ -28,7 +28,6 @@
 #include "common/random.h"
 #include "common/result.h"
 #include "core/reconstruction_privacy.h"
-#include "table/group_index.h"
 #include "table/table.h"
 
 namespace recpriv::core {

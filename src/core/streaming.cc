@@ -5,14 +5,12 @@
 #include <utility>
 
 #include "perturb/uniform_perturbation.h"
-#include "table/group_index.h"
 
 namespace recpriv::core {
 
 using recpriv::perturb::PerturbValue;
 using recpriv::perturb::UniformPerturbation;
 using recpriv::table::FlatGroupIndex;
-using recpriv::table::GroupIndex;
 using recpriv::table::SchemaPtr;
 using recpriv::table::Table;
 
@@ -166,7 +164,7 @@ Result<std::vector<uint32_t>> StreamingPublisher::InsertAndRelease(
 }
 
 ViolationReport StreamingPublisher::Audit() const {
-  return AuditViolations(GroupIndex::Build(buffer_), params_);
+  return AuditViolations(FlatGroupIndex::Build(buffer_), params_);
 }
 
 ViolationReport StreamingPublisher::AuditFromRuns() const {

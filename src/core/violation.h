@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "core/reconstruction_privacy.h"
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 
 namespace recpriv::core {
 
@@ -22,7 +22,7 @@ struct ViolationReport {
   size_t num_records = 0;
   size_t violating_groups = 0;
   uint64_t violating_records = 0;
-  std::vector<size_t> violating_group_ids;  ///< indices into the GroupIndex
+  std::vector<size_t> violating_group_ids;  ///< group ids of the audited index
 
   /// v_g: fraction of groups violating.
   double GroupViolationRate() const {
@@ -43,7 +43,7 @@ struct ViolationReport {
 /// Audits every personal group of `index` against `params` (Corollary 4).
 /// This asks: if D* were produced by plain UP at params.retention_p, which
 /// groups would admit an accurate personal reconstruction?
-ViolationReport AuditViolations(const recpriv::table::GroupIndex& index,
+ViolationReport AuditViolations(const recpriv::table::FlatGroupIndex& index,
                                 const PrivacyParams& params);
 
 /// Audit over raw (group size, max frequency) pairs — used by the count-path

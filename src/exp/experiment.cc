@@ -12,7 +12,6 @@ using recpriv::core::Generalization;
 using recpriv::core::PrivacyParams;
 using recpriv::query::CountQuery;
 using recpriv::table::FlatGroupIndex;
-using recpriv::table::GroupIndex;
 using recpriv::table::Table;
 
 bool FullScale() {
@@ -43,9 +42,8 @@ Result<PreparedDataset> Prepare(Table raw, size_t pool_size, uint64_t seed) {
                            recpriv::core::ComputeGeneralization(raw));
   RECPRIV_ASSIGN_OR_RETURN(Table generalized,
                            recpriv::core::ApplyGeneralization(plan, raw));
-  GroupIndex raw_index = GroupIndex::Build(raw);
-  GroupIndex index = GroupIndex::Build(generalized);
-  FlatGroupIndex flat_index = FlatGroupIndex::Build(generalized);
+  FlatGroupIndex raw_index = FlatGroupIndex::Build(raw);
+  FlatGroupIndex index = FlatGroupIndex::Build(generalized);
 
   std::vector<CountQuery> pool;
   if (pool_size > 0) {
@@ -53,20 +51,16 @@ Result<PreparedDataset> Prepare(Table raw, size_t pool_size, uint64_t seed) {
     recpriv::query::QueryPoolConfig config;
     config.pool_size = pool_size;
     // The paper draws queries from the original NA values, then replaces
-    // them with aggregated values for evaluation (§6.1). Pool generation
-    // runs millions of selectivity probes, so it gets a columnar index of
-    // the raw table (transient: only the pool survives).
-    const FlatGroupIndex flat_raw = FlatGroupIndex::Build(raw);
+    // them with aggregated values for evaluation (§6.1).
     RECPRIV_ASSIGN_OR_RETURN(
         std::vector<CountQuery> raw_pool,
-        recpriv::query::GenerateQueryPool(flat_raw, config, pool_rng));
+        recpriv::query::GenerateQueryPool(raw_index, config, pool_rng));
     RECPRIV_ASSIGN_OR_RETURN(pool,
                              recpriv::query::MapQueryPool(plan, raw_pool));
   }
-  return PreparedDataset{std::move(raw),        std::move(plan),
+  return PreparedDataset{std::move(raw),       std::move(plan),
                          std::move(generalized), std::move(raw_index),
-                         std::move(index),      std::move(flat_index),
-                         std::move(pool)};
+                         std::move(index),      std::move(pool)};
 }
 
 }  // namespace
@@ -91,7 +85,7 @@ Result<PreparedDataset> PrepareCensus(size_t num_records, size_t pool_size,
   return Prepare(std::move(raw), pool_size, seed);
 }
 
-ViolationPoint MeasureViolation(const GroupIndex& index,
+ViolationPoint MeasureViolation(const FlatGroupIndex& index,
                                 const PrivacyParams& params) {
   recpriv::core::ViolationReport report =
       recpriv::core::AuditViolations(index, params);

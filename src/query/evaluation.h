@@ -18,9 +18,8 @@ namespace recpriv::query {
 
 /// Per-personal-group observed SA histograms of a perturbed release —
 /// the count-level representation of D* (UP) or D*_2 (SPS). Parallel to
-/// the group ids of the FlatGroupIndex it was produced from (which are
-/// also the group ids of the legacy GroupIndex: both sort groups in
-/// NA-lexicographic order).
+/// the group ids of the FlatGroupIndex it was produced from: groups in
+/// NA-lexicographic order of their public codes.
 struct PerturbedGroups {
   std::vector<std::vector<uint64_t>> observed;
   /// |g*| per group (sum of the observed histogram).

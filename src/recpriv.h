@@ -59,7 +59,7 @@
 #include "table/csv.h"
 #include "table/dictionary.h"
 #include "table/flat_group_index.h"
-#include "table/group_index.h"
+#include "table/group_order.h"
 #include "table/predicate.h"
 #include "table/schema.h"
 #include "table/table.h"

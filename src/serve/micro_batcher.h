@@ -3,12 +3,14 @@
 // Concurrent serving sessions (TCP slices, in-process callers) mostly
 // submit tiny batches — often a single count query per request. Each such
 // request pays the engine's fixed costs alone: snapshot pin, validation,
-// cache traffic, scratch setup, and one index pass that the columnar
-// layout could have shared. The batcher coalesces submissions that target
-// the SAME release snapshot and arrive within a short collection window
-// into one fused QueryEngine::AnswerBatch call — one pass of the
-// FlatGroupIndex answer kernel amortized over every rider — then splits
-// the answers back per submission.
+// cache traffic, scratch setup, and pool dispatch. The batcher coalesces
+// submissions that target the SAME release snapshot and arrive within a
+// short collection window into one fused QueryEngine::AnswerBatch call,
+// then splits the answers back per submission. The fused call pays those
+// costs once and evaluates the merged list the way AnswerBatch evaluates
+// any batch: per-query posting-list intersection, or, for a batch that is
+// large against the group count, one group-shard scan shared by every
+// query.
 //
 // Leader/follower protocol: the first submission for a (release, epoch)
 // key opens a pending batch and becomes its leader; it waits up to

@@ -1,12 +1,12 @@
 #include "table/flat_group_index.h"
 
 #include <algorithm>
-#include <bit>
 #include <iterator>
 #include <numeric>
 #include <utility>
 
 #include "common/logging.h"
+#include "table/group_order.h"
 #include "table/simd/dispatch.h"
 
 namespace recpriv::table {
@@ -65,27 +65,10 @@ AnswerScratch& SharedScratch() {
 bool FlatGroupIndex::DeriveKeyLayout(bool want_packed) {
   public_idx_ = schema_->public_indices();
   m_ = schema_->sa_domain_size();
-  const size_t n_pub = public_idx_.size();
-
-  // Bit widths of the public domains; their sum decides the key layout.
-  key_bits_.assign(n_pub, 0);
-  uint32_t total_bits = 0;
-  for (size_t k = 0; k < n_pub; ++k) {
-    const size_t dom = schema_->attribute(public_idx_[k]).domain.size();
-    key_bits_[k] = dom <= 1 ? 0u : uint32_t(std::bit_width(uint64_t(dom - 1)));
-    total_bits += key_bits_[k];
-  }
-  packed_ = want_packed && total_bits <= 64;
-  if (packed_) {
-    // Attribute 0 occupies the highest bits so that numeric key order is
-    // the NA-lexicographic order of GroupIndex::Build.
-    key_shifts_.assign(n_pub, 0);
-    uint32_t below = total_bits;
-    for (size_t k = 0; k < n_pub; ++k) {
-      below -= key_bits_[k];
-      key_shifts_[k] = below;
-    }
-  }
+  PackedKeyLayout layout = PackedKeyLayout::Of(*schema_);
+  packed_ = want_packed && layout.fits();
+  key_bits_ = std::move(layout.bits);
+  key_shifts_ = std::move(layout.shifts);
   return packed_ == want_packed;
 }
 
@@ -105,88 +88,67 @@ FlatGroupIndex FlatGroupIndex::Build(const Table& t, KeyMode mode) {
 
   const size_t n = t.num_rows();
   const size_t n_pub = idx.public_idx_.size();
-  uint32_t total_bits = 0;
-  for (const uint32_t b : idx.key_bits_) total_bits += b;
+  const size_t m = idx.m_;
+  RowKeys keys = RowKeys::Pack(t, idx.packed_);
 
-  // Raw column pointers: the build touches each public column once to pack
-  // keys, instead of gathering per comparison like the legacy sort.
-  std::vector<const uint32_t*> cols(n_pub);
-  for (size_t k = 0; k < n_pub; ++k) {
-    cols[k] = t.column(idx.public_idx_[k]).data();
+  // Group-major row order. A stable sort keeps rows ascending within each
+  // group, and a stable sort of key-ordered input (an SPS release, which
+  // is emitted group by group) is the identity, so that case skips it.
+  std::vector<uint32_t>& order = idx.row_values_own_;
+  order.resize(n);
+  std::iota(order.begin(), order.end(), 0u);
+  if (!keys.IsSorted()) {
+    if (idx.packed_) {
+      std::vector<KeyRow> kr(n);
+      for (size_t r = 0; r < n; ++r) {
+        kr[r] = KeyRow{keys.packed_keys[r], uint32_t(r)};
+      }
+      RadixSortKeys(kr, std::accumulate(idx.key_bits_.begin(),
+                                        idx.key_bits_.end(), 0u));
+      for (size_t i = 0; i < n; ++i) {
+        order[i] = kr[i].row;
+        keys.packed_keys[i] = kr[i].key;  // keys now follow `order`
+      }
+    } else {
+      std::stable_sort(order.begin(), order.end(),
+                       [&keys](uint32_t x, uint32_t y) {
+                         return keys.Less(x, y);
+                       });
+    }
   }
+  // True when sorted positions i and j hold the same key.
+  auto same_key = [&](size_t i, size_t j) {
+    return idx.packed_ ? keys.packed_keys[i] == keys.packed_keys[j]
+                       : keys.Equal(order[i], order[j]);
+  };
+
+  // One pass counts the groups so every column is sized exactly once.
+  size_t num_groups = n == 0 ? 0 : 1;
+  for (size_t i = 1; i < n; ++i) num_groups += !same_key(i - 1, i);
+  idx.num_groups_ = num_groups;
+  idx.na_codes_own_.resize(num_groups * n_pub);
+  idx.sa_counts_own_.assign(num_groups * m, 0);
+  idx.row_offsets_own_.resize(num_groups + 1);
+  if (idx.packed_) idx.packed_keys_own_.resize(num_groups);
+
   const uint32_t* sa_col = t.column(t.schema()->sensitive_index()).data();
-
-  idx.row_values_own_.resize(n);
-  idx.row_offsets_own_.push_back(0);
-  idx.na_codes_own_.reserve(n_pub * 16);
-
-  auto open_group = [&](uint32_t first_row) {
+  size_t g = 0;
+  for (size_t i = 0; i < n; ++g) {
+    size_t j = i + 1;
+    while (j < n && same_key(i, j)) ++j;
     for (size_t k = 0; k < n_pub; ++k) {
-      idx.na_codes_own_.push_back(cols[k][first_row]);
+      idx.na_codes_own_[g * n_pub + k] = t.at(order[i], idx.public_idx_[k]);
     }
-    idx.sa_counts_own_.resize(idx.sa_counts_own_.size() + idx.m_, 0);
-  };
-  auto add_row = [&](size_t pos, uint32_t row) {
-    idx.row_values_own_[pos] = row;
-    const uint32_t sa = sa_col[row];
-    RECPRIV_DCHECK(sa < idx.m_);
-    ++idx.sa_counts_own_[idx.sa_counts_own_.size() - idx.m_ + sa];
-  };
-
-  if (idx.packed_) {
-    std::vector<KeyRow> kr(n);
-    for (size_t r = 0; r < n; ++r) {
-      uint64_t key = 0;
-      for (size_t k = 0; k < n_pub; ++k) {
-        if (idx.key_bits_[k] == 0) continue;
-        key |= uint64_t(cols[k][r]) << idx.key_shifts_[k];
-      }
-      kr[r] = KeyRow{key, uint32_t(r)};
+    if (idx.packed_) idx.packed_keys_own_[g] = keys.packed_keys[i];
+    uint64_t* hist = idx.sa_counts_own_.data() + g * m;
+    for (size_t r = i; r < j; ++r) {
+      const uint32_t sa = sa_col[order[r]];
+      RECPRIV_DCHECK(sa < m);
+      ++hist[sa];
     }
-    RadixSortKeys(kr, total_bits);
-    for (size_t i = 0; i < n;) {
-      size_t j = i + 1;
-      while (j < n && kr[j].key == kr[i].key) ++j;
-      open_group(kr[i].row);
-      idx.packed_keys_own_.push_back(kr[i].key);
-      for (size_t r = i; r < j; ++r) add_row(r, kr[r].row);
-      idx.row_offsets_own_.push_back(j);
-      i = j;
-    }
-  } else {
-    // Wide path: contiguous row-major keys, lexicographic index sort. The
-    // stable sort keeps rows ascending within each group, matching the
-    // radix path.
-    std::vector<uint32_t> wide(n * n_pub);
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t k = 0; k < n_pub; ++k) wide[r * n_pub + k] = cols[k][r];
-    }
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    auto key_less = [&](uint32_t x, uint32_t y) {
-      const uint32_t* kx = wide.data() + size_t(x) * n_pub;
-      const uint32_t* ky = wide.data() + size_t(y) * n_pub;
-      for (size_t k = 0; k < n_pub; ++k) {
-        if (kx[k] != ky[k]) return kx[k] < ky[k];
-      }
-      return false;
-    };
-    auto key_equal = [&](uint32_t x, uint32_t y) {
-      return std::equal(wide.data() + size_t(x) * n_pub,
-                        wide.data() + size_t(x + 1) * n_pub,
-                        wide.data() + size_t(y) * n_pub);
-    };
-    std::stable_sort(order.begin(), order.end(), key_less);
-    for (size_t i = 0; i < n;) {
-      size_t j = i + 1;
-      while (j < n && key_equal(order[i], order[j])) ++j;
-      open_group(order[i]);
-      for (size_t r = i; r < j; ++r) add_row(r, order[r]);
-      idx.row_offsets_own_.push_back(j);
-      i = j;
-    }
+    idx.row_offsets_own_[g + 1] = j;
+    i = j;
   }
-  idx.num_groups_ = idx.row_offsets_own_.size() - 1;
   idx.BindOwnedStorage();
   return idx;
 }

@@ -84,13 +84,16 @@ std::vector<uint64_t> Table::SaHistogram() const {
 
 Table Table::Select(std::span<const size_t> row_indices) const {
   Table out(schema_);
-  out.Reserve(row_indices.size());
-  std::vector<uint32_t> row(columns_.size());
-  for (size_t r : row_indices) {
-    RECPRIV_DCHECK(r < num_rows_);
-    for (size_t c = 0; c < columns_.size(); ++c) row[c] = columns_[c][r];
-    out.AppendRowUnchecked(row);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const std::vector<uint32_t>& src = columns_[c];
+    std::vector<uint32_t>& dst = out.columns_[c];
+    dst.resize(row_indices.size());
+    for (size_t i = 0; i < row_indices.size(); ++i) {
+      RECPRIV_DCHECK(row_indices[i] < num_rows_);
+      dst[i] = src[row_indices[i]];
+    }
   }
+  out.num_rows_ = row_indices.size();
   return out;
 }
 

@@ -7,14 +7,14 @@
 
 #include "common/random.h"
 #include "datagen/simple.h"
-#include "table/group_index.h"
+#include "table/flat_group_index.h"
 
 namespace recpriv::core {
 namespace {
 
 using recpriv::datagen::GroupSpec;
 using recpriv::datagen::SimpleDatasetSpec;
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 using recpriv::table::Predicate;
 using recpriv::table::Table;
 
@@ -67,7 +67,7 @@ TEST(GeneralizationTest, ApplyRewritesGroups) {
   ASSERT_TRUE(gen.ok());
   EXPECT_EQ(gen->num_rows(), t.num_rows());
   // Personal groups: 2 job classes x 1 city class = 2.
-  GroupIndex idx = GroupIndex::Build(*gen);
+  FlatGroupIndex idx = FlatGroupIndex::Build(*gen);
   EXPECT_EQ(idx.num_groups(), 2u);
   // SA histogram unchanged globally.
   EXPECT_EQ(gen->SaHistogram(), t.SaHistogram());

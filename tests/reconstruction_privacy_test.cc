@@ -124,13 +124,13 @@ TEST(CorollaryFourTest, ConsistentWithBestTailBound) {
 }
 
 TEST(GroupIsPrivateTest, UsesMaxFrequency) {
-  recpriv::table::PersonalGroup g;
-  g.rows.resize(1000);
-  g.sa_counts = {800, 200};
+  // A 1000-record group with SA counts {800, 200}: the group test is the
+  // value test at f = 0.8, its most frequent value.
   auto params = Params(0.3, 0.3, 0.5, 2);
-  EXPECT_EQ(GroupIsPrivate(params, g),
-            GroupIsPrivate(params, 1000, 0.8));
-  EXPECT_FALSE(GroupIsPrivate(params, g));  // 1000 > s_g(0.8) ~ 90
+  EXPECT_EQ(GroupIsPrivate(params, 1000, 0.8),
+            ValueIsPrivate(params, 1000, 0.8));
+  EXPECT_FALSE(GroupIsPrivate(params, 1000, 0.8));  // 1000 > s_g(0.8) ~ 90
+  EXPECT_TRUE(GroupIsPrivate(params, 50, 0.8));
 }
 
 TEST(BestTailBoundTest, OneForZeroFrequency) {

@@ -466,7 +466,6 @@ TEST(QueryEngineTest, ConcurrentReadersAndRepublisherStayConsistent) {
 // histograms: both implement est = |S*| F' (Lemma 2(ii)).
 TEST(QueryEngineTest, AgreesWithOfflineEvaluationPipeline) {
   Table raw = *recpriv::datagen::GenerateSimpleExact(MakeSpec());
-  auto raw_index = recpriv::table::GroupIndex::Build(raw);
 
   Served s = MakeServed();
   auto snap = *s.store->Get("simple");

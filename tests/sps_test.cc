@@ -10,7 +10,12 @@
 #include <cmath>
 #include <memory>
 
+#include "common/checksum.h"
+#include "core/generalization.h"
+#include "datagen/adult.h"
+#include "datagen/census.h"
 #include "perturb/mle.h"
+#include "table/flat_group_index.h"
 #include "table/schema.h"
 
 namespace recpriv::core {
@@ -19,7 +24,7 @@ namespace {
 using recpriv::perturb::UniformPerturbation;
 using recpriv::table::Attribute;
 using recpriv::table::Dictionary;
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 using recpriv::table::Schema;
 using recpriv::table::SchemaPtr;
 using recpriv::table::Table;
@@ -201,10 +206,10 @@ TEST(SpsTableTest, NaColumnsNeverChange) {
   Rng rng(31);
   auto r = *SpsPerturbTable(params, input, rng);
   // Per-group output sizes ~ input sizes; NA codes only from {0,1}.
-  GroupIndex out_idx = GroupIndex::Build(r.table);
+  FlatGroupIndex out_idx = FlatGroupIndex::Build(r.table);
   EXPECT_EQ(out_idx.num_groups(), 2u);
-  for (const auto& g : out_idx.groups()) {
-    EXPECT_LT(g.na_codes[0], 2u);
+  for (size_t gi = 0; gi < out_idx.num_groups(); ++gi) {
+    EXPECT_LT(out_idx.na_code(gi, 0), 2u);
   }
 }
 
@@ -251,6 +256,103 @@ TEST(SpsTableTest, DomainMismatchRejected) {
   Table input(TwoGroupSchema());
   Rng rng(1);
   EXPECT_FALSE(SpsPerturbTable(params, input, rng).ok());
+}
+
+// Fixed-seed byte identity of the record-level release. SPS draws per
+// group in NA-lexicographic order and takes per-SA-value prefixes of each
+// group's rows, so these digests pin the group order, the within-group row
+// order and the draw sequence together. They must never change.
+
+/// XXH64 chained over every output column, schema order.
+uint64_t ColumnsDigest(const Table& t) {
+  uint64_t h = 0;
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    const auto& col = t.column(c);
+    h = XxHash64(col.data(), col.size() * sizeof(uint32_t), h);
+  }
+  return h;
+}
+
+struct SpsGolden {
+  uint64_t digest;     ///< ColumnsDigest of the released table
+  uint64_t next_draw;  ///< the RNG's next output after the release
+  size_t rows;
+  size_t groups_sampled;
+};
+
+SpsGolden RunGolden(const Table& input, uint64_t seed) {
+  const auto params =
+      Params(0.3, 0.3, 0.5, input.schema()->sa_domain_size());
+  Rng rng(seed);
+  auto r = SpsPerturbTable(params, input, rng);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return {};
+  return SpsGolden{ColumnsDigest(r->table), rng(), r->table.num_rows(),
+                   r->stats.groups_sampled};
+}
+
+void ExpectGolden(const SpsGolden& got, const SpsGolden& want) {
+  EXPECT_EQ(got.digest, want.digest) << std::hex << got.digest;
+  EXPECT_EQ(got.next_draw, want.next_draw) << std::hex << got.next_draw;
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.groups_sampled, want.groups_sampled);
+}
+
+TEST(SpsGoldenTest, Census20k) {
+  // Generalized first (§3.4), as the publish pipeline does: raw CENSUS
+  // groups at this size are too small to be sampled.
+  Rng gen(20150323);
+  recpriv::datagen::CensusConfig config;
+  config.num_records = 20000;
+  const Table raw = *recpriv::datagen::GenerateCensus(config, gen);
+  const Table input = *ApplyGeneralization(*ComputeGeneralization(raw), raw);
+  ExpectGolden(RunGolden(input, 7),
+               SpsGolden{0x4303233abe05475bULL, 0xbd7688ee4949b90cULL,
+                         19987, 2});
+}
+
+TEST(SpsGoldenTest, Adult) {
+  Rng gen(20150323);
+  const Table input =
+      *recpriv::datagen::GenerateAdult(recpriv::datagen::AdultConfig{}, gen);
+  ExpectGolden(RunGolden(input, 11),
+               SpsGolden{0x960cd71707d72fe2ULL, 0x048e0cd13c919546ULL,
+                         45206, 85});
+}
+
+TEST(SpsGoldenTest, PublicDomainsWiderThan64Bits) {
+  // Five public attributes of 20000 values each need 5 x 15 = 75 key bits.
+  // Rows draw their keys from 40 fixed tuples so groups are large enough
+  // to be sampled.
+  std::vector<Attribute> attrs;
+  for (int a = 0; a < 5; ++a) {
+    Dictionary d;
+    for (int v = 0; v < 20000; ++v) {
+      d.GetOrAdd("a" + std::to_string(a) + "v" + std::to_string(v));
+    }
+    attrs.push_back(Attribute{"A" + std::to_string(a), std::move(d)});
+  }
+  attrs.push_back(
+      Attribute{"SA", *Dictionary::FromValues({"s0", "s1", "s2", "s3"})});
+  auto schema = std::make_shared<Schema>(*Schema::Make(std::move(attrs), 5));
+
+  Rng gen(20150323);
+  std::vector<std::vector<uint32_t>> keys(40, std::vector<uint32_t>(5));
+  for (auto& key : keys) {
+    for (auto& code : key) code = uint32_t(gen.NextUint64(20000));
+  }
+  Table input(schema);
+  std::vector<uint32_t> row(6);
+  for (int r = 0; r < 6000; ++r) {
+    const auto& key = keys[gen.NextUint64(keys.size())];
+    std::copy(key.begin(), key.end(), row.begin());
+    // Skewed SA so some groups exceed s_g.
+    row[5] = gen.NextBernoulli(0.7) ? 0u : uint32_t(gen.NextUint64(4));
+    input.AppendRowUnchecked(row);
+  }
+  ExpectGolden(RunGolden(input, 13),
+               SpsGolden{0x81db60c5b9a23ec1ULL, 0xd75897b748cadadbULL,
+                         5949, 40});
 }
 
 struct SpsGridCase {

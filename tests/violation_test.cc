@@ -13,7 +13,7 @@ namespace {
 
 using recpriv::table::Attribute;
 using recpriv::table::Dictionary;
-using recpriv::table::GroupIndex;
+using recpriv::table::FlatGroupIndex;
 using recpriv::table::Schema;
 using recpriv::table::Table;
 
@@ -73,7 +73,7 @@ TEST(ViolationTest, IndexOverloadMatchesProfiles) {
     ASSERT_TRUE(
         t.AppendRow(std::vector<uint32_t>{2, (i % 10) < 6 ? 0u : 1u}).ok());
   }
-  GroupIndex idx = GroupIndex::Build(t);
+  FlatGroupIndex idx = FlatGroupIndex::Build(t);
   auto params = Params(0.3, 0.3, 0.5, 2);
   ViolationReport r = AuditViolations(idx, params);
   EXPECT_EQ(r.num_groups, 3u);
@@ -83,8 +83,8 @@ TEST(ViolationTest, IndexOverloadMatchesProfiles) {
 
   // Cross-check against the profile-based overload.
   std::vector<std::pair<uint64_t, double>> profiles;
-  for (const auto& g : idx.groups()) {
-    profiles.emplace_back(g.size(), g.MaxFrequency());
+  for (size_t gi = 0; gi < idx.num_groups(); ++gi) {
+    profiles.emplace_back(idx.group_size(gi), idx.MaxFrequency(gi));
   }
   ViolationReport r2 = AuditViolations(profiles, params);
   EXPECT_EQ(r2.violating_groups, r.violating_groups);

@@ -136,7 +136,7 @@ int Run(int argc, char** argv) {
   }
 
   // --- audit ---
-  table::GroupIndex index = table::GroupIndex::Build(publishable);
+  const table::FlatGroupIndex index = table::FlatGroupIndex::Build(publishable);
   core::ViolationReport audit = core::AuditViolations(index, params);
   std::cout << "audit: " << index.num_groups() << " personal groups; "
             << audit.violating_groups << " would violate ("
@@ -198,19 +198,21 @@ int Run(int argc, char** argv) {
   if (flags.Has("report")) {
     exp::AsciiTable report({"group", "size", "max_frequency", "s_g",
                             "violates_under_plain_up"});
-    for (const auto& g : index.groups()) {
+    for (size_t gi = 0; gi < index.num_groups(); ++gi) {
       std::string key;
-      for (size_t k = 0; k < g.na_codes.size(); ++k) {
+      for (size_t k = 0; k < index.num_public(); ++k) {
         if (k > 0) key += "/";
         size_t attr = index.public_indices()[k];
         key += publishable.schema()->attribute(attr).domain.value(
-            g.na_codes[k]);
+            index.na_code(gi, k));
       }
-      const double s_g = core::MaxGroupSize(params, g.MaxFrequency());
-      report.AddRow({key, std::to_string(g.size()),
-                     FormatDouble(g.MaxFrequency(), 4),
-                     FormatDouble(s_g, 6),
-                     core::GroupIsPrivate(params, g) ? "no" : "yes"});
+      const double max_f = index.MaxFrequency(gi);
+      const double s_g = core::MaxGroupSize(params, max_f);
+      report.AddRow(
+          {key, std::to_string(index.group_size(gi)), FormatDouble(max_f, 4),
+           FormatDouble(s_g, 6),
+           core::GroupIsPrivate(params, index.group_size(gi), max_f) ? "no"
+                                                                     : "yes"});
     }
     if (auto st = report.WriteCsv(flags.GetString("report")); !st.ok()) {
       return Fail(st);
