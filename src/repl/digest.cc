@@ -10,6 +10,9 @@ namespace recpriv::repl {
 
 namespace {
 constexpr std::string_view kPrefix = "xxh64:";
+/// FileDigest's read size: large enough that syscalls vanish next to the
+/// hash, small enough to stay cache-resident.
+constexpr size_t kFileReadBytes = 256 * 1024;
 }  // namespace
 
 std::string FormatDigest(uint64_t digest) {
@@ -51,10 +54,14 @@ uint64_t BytesDigest(const uint8_t* data, size_t n) {
 Result<uint64_t> FileDigest(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IOError("cannot open " + path);
-  std::vector<uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                             std::istreambuf_iterator<char>()};
+  XxHash64Stream hash;
+  std::vector<char> buf(kFileReadBytes);
+  while (in) {
+    in.read(buf.data(), std::streamsize(buf.size()));
+    hash.Update(buf.data(), size_t(in.gcount()));
+  }
   if (in.bad()) return Status::IOError("cannot read " + path);
-  return BytesDigest(bytes.data(), bytes.size());
+  return hash.Digest();
 }
 
 }  // namespace recpriv::repl

@@ -5,7 +5,7 @@
 // can compare primary/follower state offline.
 //
 // The digest is over the file bytes, not the in-memory snapshot:
-// store::SerializeSnapshot is deterministic, so one (release, epoch) has
+// store::SnapshotImage is deterministic, so one (release, epoch) has
 // exactly one digest on any host, and hashing a follower's on-disk file
 // reproduces the primary's advertisement bit for bit.
 //
@@ -31,8 +31,8 @@ Result<uint64_t> ParseDigest(std::string_view formatted);
 /// XXH64 (seed 0) of a byte buffer — the replication content hash.
 uint64_t BytesDigest(const uint8_t* data, size_t n);
 
-/// BytesDigest of a whole file's contents (read, not mapped; digest-sized
-/// files are snapshots, a few MB at serving scale).
+/// BytesDigest of a whole file's contents, hashed in fixed-size reads as
+/// a stream — memory stays flat whatever the file size.
 Result<uint64_t> FileDigest(const std::string& path);
 
 }  // namespace recpriv::repl

@@ -1,6 +1,9 @@
 #include "repl/replicator.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <set>
 #include <utility>
 
@@ -47,6 +50,11 @@ Replicator::~Replicator() { Stop(); }
 void Replicator::Stop() {
   stopping_.store(true);
   if (thread_.joinable()) thread_.join();
+  // The thread is gone, so nothing resumes the kept transfers any more.
+  for (const auto& [key, partial] : partials_) {
+    std::remove(partial.temp_path.c_str());
+  }
+  partials_.clear();
 }
 
 void Replicator::Run() {
@@ -92,12 +100,12 @@ void Replicator::Run() {
 
 Status Replicator::RunSession(client::LineProtocolClient& client,
                               int* attempt) {
-  if (options_.binary_frame) {
-    // Best effort: a primary that predates "hello" answers unknown-op and
-    // the session stays line-framed — if the link itself is dead, the
-    // Subscribe below fails the session the normal way.
-    (void)client.NegotiateBinaryFrame();
-  }
+  // Always offer binary frames, so snapshot chunks skip base64 and JSON
+  // string escaping. Best effort: a primary that answers "frame":"json"
+  // (or predates "hello" and answers unknown-op) leaves the session
+  // line-framed and replication proceeds identically — if the link itself
+  // is dead, the Subscribe below fails the session the normal way.
+  (void)client.NegotiateBinaryFrame();
   RECPRIV_ASSIGN_OR_RETURN(client::Subscription listing, client.Subscribe());
   *attempt = 0;
   RECPRIV_RETURN_NOT_OK(Resync(client, listing));
@@ -131,10 +139,7 @@ Status Replicator::Resync(client::LineProtocolClient& client,
       ++counters_.drops;
     }
     ClearPendingRelease(info.name);
-    for (auto it = partials_.begin(); it != partials_.end();) {
-      it = it->first.first == info.name ? partials_.erase(it)
-                                        : std::next(it);
-    }
+    DiscardPartials(info.name);
   }
   // Fetch what we are missing, oldest epoch first so the local window
   // lands with back() = the served epoch. Epochs beyond our own retention
@@ -189,7 +194,7 @@ Status Replicator::ApplyEvent(client::LineProtocolClient& client,
       // we fetched it just stops being lag (and any half-fetched image of
       // it is dead weight).
       ClearPending(event.release, event.epoch);
-      partials_.erase(std::make_pair(event.release, event.epoch));
+      DiscardPartial(std::make_pair(event.release, event.epoch));
       return Status::OK();
     case client::EpochEvent::Kind::kDrop: {
       if (store_.Drop(event.release).ok()) {
@@ -197,10 +202,7 @@ Status Replicator::ApplyEvent(client::LineProtocolClient& client,
         ++counters_.drops;
       }
       ClearPendingRelease(event.release);
-      for (auto it = partials_.begin(); it != partials_.end();) {
-        it = it->first.first == event.release ? partials_.erase(it)
-                                              : std::next(it);
-      }
+      DiscardPartials(event.release);
       return Status::OK();
     }
   }
@@ -211,85 +213,119 @@ Status Replicator::FetchEpoch(client::LineProtocolClient& client,
                               const std::string& release, uint64_t epoch,
                               const std::string& advertised_digest) {
   const auto key = std::make_pair(release, epoch);
-  std::vector<uint8_t> image;
-  std::string declared_digest;
+  RECPRIV_ASSIGN_OR_RETURN(std::string path,
+                           store_.ManagedSnapshotPath(release, epoch));
   // Resume an interrupted transfer of this exact epoch, if any; the map
   // entry comes back on a link failure below, so a given byte is only ever
   // fetched once however many sessions the transfer spans.
+  PartialFetch fetch;
+  fetch.temp_path = path + std::string(store::kPartialTransferSuffix);
   if (auto partial = partials_.find(key); partial != partials_.end()) {
-    image = std::move(partial->second.image);
-    declared_digest = std::move(partial->second.declared_digest);
+    fetch = std::move(partial->second);
     partials_.erase(partial);
   }
-  uint64_t offset = image.size();
+  // The temp file holds exactly the bytes hashed so far: trim anything a
+  // failed write may have left past them, then append.
+  std::error_code ec;
+  if (fetch.hash.size() > 0) {
+    std::filesystem::resize_file(fetch.temp_path, fetch.hash.size(), ec);
+  }
+  std::ofstream out;
+  if (!ec) {
+    out.open(fetch.temp_path,
+             std::ios::binary |
+                 (fetch.hash.size() > 0 ? std::ios::app : std::ios::trunc));
+  }
+  if (ec || !out) {
+    std::remove(fetch.temp_path.c_str());
+    return Status::IOError("cannot open partial transfer file " +
+                           fetch.temp_path);
+  }
+  // Every exit that does not keep the transfer for resumption deletes it.
+  auto abandon = [&](Status status) {
+    out.close();
+    std::remove(fetch.temp_path.c_str());
+    return status;
+  };
   for (;;) {
-    if (stopping_.load()) return Status::OK();
-    Result<client::SnapshotChunk> chunk_result =
-        client.FetchSnapshotChunk(release, epoch, offset, options_.chunk_bytes);
+    if (stopping_.load()) return abandon(Status::OK());
+    Result<client::SnapshotChunk> chunk_result = client.FetchSnapshotChunk(
+        release, epoch, fetch.hash.size(), options_.chunk_bytes);
     if (!chunk_result.ok()) {
-      if (chunk_result.status().code() == StatusCode::kDataLoss) {
+      const StatusCode code = chunk_result.status().code();
+      if (code == StatusCode::kDataLoss) {
+        // Restart from scratch: a corrupt chunk taints the whole attempt.
         std::lock_guard<std::mutex> lock(mu_);
         ++counters_.digest_mismatches;
-        // Restart from scratch: a corrupt chunk taints the whole attempt.
-      } else if (chunk_result.status().code() != StatusCode::kNotFound &&
-                 chunk_result.status().code() !=
-                     StatusCode::kFailedPrecondition &&
-                 !image.empty()) {
+      } else if (code != StatusCode::kNotFound &&
+                 code != StatusCode::kFailedPrecondition &&
+                 fetch.hash.size() > 0) {
         // Link failure, not a verdict about the data: keep the progress.
-        partials_[key] =
-            PartialFetch{std::move(image), std::move(declared_digest)};
+        out.close();
+        partials_[key] = std::move(fetch);
+        return chunk_result.status();
       }
-      return chunk_result.status();
+      return abandon(chunk_result.status());
     }
     const client::SnapshotChunk& chunk = *chunk_result;
-    if (declared_digest.empty()) {
-      image.reserve(chunk.total_bytes);
-      declared_digest = chunk.digest;
-    } else if (chunk.digest != declared_digest) {
+    if (fetch.declared_digest.empty()) {
+      fetch.declared_digest = chunk.digest;
+    } else if (chunk.digest != fetch.declared_digest) {
       // Epochs are immutable, so the declared image digest can never
       // legitimately change between sessions; drop the partial and let the
       // retry start clean.
-      return Status::IOError(
+      return abandon(Status::IOError(
           "fetch_snapshot: image digest changed mid-transfer for '" +
           release + "' epoch " + std::to_string(epoch) + " (" +
-          declared_digest + " -> " + chunk.digest + ")");
+          fetch.declared_digest + " -> " + chunk.digest + ")"));
     }
+    out.write(reinterpret_cast<const char*>(chunk.data.data()),
+              std::streamsize(chunk.data.size()));
+    if (!out.flush()) {
+      return abandon(
+          Status::IOError("short write to " + fetch.temp_path));
+    }
+    fetch.hash.Update(chunk.data.data(), chunk.data.size());
     {
       std::lock_guard<std::mutex> lock(mu_);
       counters_.bytes_fetched += chunk.data.size();
     }
-    image.insert(image.end(), chunk.data.begin(), chunk.data.end());
-    offset += chunk.data.size();
     if (chunk.eof) break;
     if (chunk.data.empty()) {
-      return Status::DataLoss("fetch_snapshot: empty non-final chunk for '" +
-                              release + "' epoch " + std::to_string(epoch));
+      return abandon(Status::DataLoss(
+          "fetch_snapshot: empty non-final chunk for '" + release +
+          "' epoch " + std::to_string(epoch)));
     }
+  }
+  out.close();
+  if (!out) {
+    return abandon(Status::IOError("cannot close " + fetch.temp_path));
   }
   // The decoder verified each chunk; this verifies the reassembly, against
   // both what the fetch declared and what the listing/event advertised.
   // (release, epoch) -> image is immutable, so any disagreement is
   // corruption, never a racing republish.
-  const std::string computed =
-      FormatDigest(BytesDigest(image.data(), image.size()));
-  if (computed != declared_digest ||
+  const std::string computed = FormatDigest(fetch.hash.Digest());
+  if (computed != fetch.declared_digest ||
       (!advertised_digest.empty() && computed != advertised_digest)) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++counters_.digest_mismatches;
     }
-    return Status::DataLoss(
+    return abandon(Status::DataLoss(
         "snapshot image digest mismatch for '" + release + "' epoch " +
-        std::to_string(epoch) + ": computed " + computed + ", fetch declared " +
-        declared_digest +
+        std::to_string(epoch) + ": computed " + computed +
+        ", fetch declared " + fetch.declared_digest +
         (advertised_digest.empty() ? std::string()
-                                   : ", advertised " + advertised_digest));
+                                   : ", advertised " + advertised_digest)));
   }
-  // Persist before install: a crash here leaves at worst a complete,
-  // verified file that RecoverFromDir happily restores.
-  RECPRIV_ASSIGN_OR_RETURN(std::string path,
-                           store_.ManagedSnapshotPath(release, epoch));
-  RECPRIV_RETURN_NOT_OK(store::WriteBytesAtomic(image, path));
+  // Persist before install: the verified file is renamed into its managed
+  // path first, so a crash here leaves at worst a complete, verified file
+  // that RecoverFromDir happily restores.
+  if (std::rename(fetch.temp_path.c_str(), path.c_str()) != 0) {
+    return abandon(
+        Status::IOError("cannot rename snapshot into place: " + path));
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.snapshots_fetched;
@@ -303,6 +339,24 @@ Status Replicator::FetchEpoch(client::LineProtocolClient& client,
   }
   ClearPending(release, epoch);
   return Status::OK();
+}
+
+void Replicator::DiscardPartial(const std::pair<std::string, uint64_t>& key) {
+  auto it = partials_.find(key);
+  if (it == partials_.end()) return;
+  std::remove(it->second.temp_path.c_str());
+  partials_.erase(it);
+}
+
+void Replicator::DiscardPartials(const std::string& release) {
+  for (auto it = partials_.begin(); it != partials_.end();) {
+    if (it->first.first == release) {
+      std::remove(it->second.temp_path.c_str());
+      it = partials_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 bool Replicator::HasEpoch(const std::string& release, uint64_t epoch) const {

@@ -8,8 +8,13 @@
 //   subscribe            -> the full retained-epoch listing with content
 //                           digests, then pushed epoch events on the same
 //                           session (serve/wire.h).
-//   fetch_snapshot       -> the serialized `.rps` image of one (release,
-//                           epoch), streamed in checksummed base64 chunks.
+//   hello                -> always offered first: binary frames, so
+//                           snapshot chunks arrive as raw attachments. A
+//                           primary that answers "frame":"json" leaves the
+//                           session line-framed (base64 chunks) and
+//                           replication proceeds identically.
+//   fetch_snapshot       -> the `.rps` image of one (release, epoch),
+//                           streamed in checksummed chunks.
 //
 // The follower reconciles the listing against its local store (drop what
 // the primary dropped, fetch what it is missing, oldest epoch first), then
@@ -19,26 +24,30 @@
 // keeps the mirror byte-identical without replaying the primary's eviction
 // schedule.
 //
-// Integrity: every fetched image is persisted before it is installed —
-// WriteBytesAtomic to the store's managed path, then OpenSnapshot — so a
-// follower crash mid-transfer never leaves a half-written epoch, and a
-// restart recovers everything already fetched (RecoverFromDir). The image
-// digest is verified twice: each chunk in the wire decoder, and the whole
-// reassembled image against both the fetch response's digest and the
-// digest the subscribe listing / publish event advertised. Any mismatch is
-// DATA_LOSS: the transfer is abandoned, the connection dropped, and the
-// resync after reconnect refetches from scratch.
+// Integrity: every fetched image is persisted before it is installed.
+// Each verified chunk is appended to a temp file beside the store's
+// managed path (`<path>.part`) while a streaming XXH64 runs over it; the
+// follower never holds the image in memory. Once the last chunk lands,
+// the whole-image digest is checked against both the fetch response's
+// digest and the digest the subscribe listing / publish event advertised,
+// and only then is the file renamed into place and OpenSnapshot'd — so a
+// follower crash mid-transfer never leaves a half-written epoch (recovery
+// deletes stale `.part` files), a restart recovers everything already
+// fetched (RecoverFromDir), and a corrupt image never installs. Any
+// mismatch is DATA_LOSS: the transfer and its temp file are abandoned,
+// the connection dropped, and the resync after reconnect refetches from
+// scratch.
 //
 // Transfers RESUME across reconnects: when the link dies mid-fetch, the
-// bytes already received are kept (epochs are immutable, so offset
+// temp file and the paused hash are kept (epochs are immutable, so offset
 // continuation is always coherent) and the next session continues from
 // that offset instead of restarting at zero. Without this, a large image
 // over a lossy link could retry forever — every reconnect must then win
 // image_bytes/chunk_bytes consecutive round trips, a probability that
 // collapses with image size; with it, convergence needs only positive
 // expected progress per session. Resumed bytes are still covered by the
-// whole-image digest check, and a DATA_LOSS verdict discards the partial
-// image so a genuinely corrupt transfer restarts from scratch.
+// whole-image digest check, and a DATA_LOSS verdict, a retire or drop of
+// the epoch, and Stop all delete the partial file.
 //
 // Liveness: the connection loop reconnects with the RetryingClient's
 // seeded exponential backoff schedule (client/retry.h BackoffDelayMs) and
@@ -60,11 +69,11 @@
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "client/api.h"
 #include "client/line_protocol_client.h"
 #include "client/retry.h"
+#include "common/checksum.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "net/fault_injector.h"
@@ -87,11 +96,6 @@ struct ReplicatorOptions {
   /// Longest accepted line: a base64-expanded max-size chunk
   /// (wire::kMaxFetchChunkBytes) plus framing fits with room to spare.
   size_t max_line_bytes = 8 << 20;
-  /// Opt-in: negotiate binary frames (wire "hello") at session start, so
-  /// snapshot chunks skip base64 and JSON string escaping. Best effort —
-  /// a primary that answers "json" (or predates the op) leaves the
-  /// session line-framed and replication proceeds identically.
-  bool binary_frame = false;
   /// Reconnect pacing; the same seeded schedule RetryingClient uses.
   client::RetryPolicy retry;
   /// When set, connection writes draw byte-level faults (drops,
@@ -113,7 +117,8 @@ class Replicator {
   Replicator(const Replicator&) = delete;
   Replicator& operator=(const Replicator&) = delete;
 
-  /// Signals the thread and joins it. Idempotent. Bounded by the largest
+  /// Signals the thread and joins it, then deletes the temp files of
+  /// transfers kept for resumption. Idempotent. Bounded by the largest
   /// in-flight timeout (one chunk round trip worst case).
   void Stop();
 
@@ -148,8 +153,9 @@ class Replicator {
   /// Applies one pushed event.
   Status ApplyEvent(client::LineProtocolClient& client,
                     const client::EpochEvent& event);
-  /// Fetches, verifies, persists, and installs one epoch.
-  /// `advertised_digest` is the listing's/event's digest spelling.
+  /// Fetches (streaming to a temp file), verifies, persists, and installs
+  /// one epoch. `advertised_digest` is the listing's/event's digest
+  /// spelling.
   Status FetchEpoch(client::LineProtocolClient& client,
                     const std::string& release, uint64_t epoch,
                     const std::string& advertised_digest);
@@ -160,6 +166,10 @@ class Replicator {
   void MarkPending(const std::string& release, uint64_t epoch);
   void ClearPending(const std::string& release, uint64_t epoch);
   void ClearPendingRelease(const std::string& release);
+  /// Forgets a kept transfer and deletes its temp file.
+  void DiscardPartial(const std::pair<std::string, uint64_t>& key);
+  /// DiscardPartial for every kept transfer of `release`.
+  void DiscardPartials(const std::string& release);
   /// Sleeps the seeded backoff for `attempt`, in slices that notice Stop.
   void Backoff(int attempt);
 
@@ -177,10 +187,13 @@ class Replicator {
   Rng backoff_rng_;
 
   /// A fetch interrupted by a link failure, kept so the next session
-  /// resumes at `image.size()`. Touched only from the follower thread (no
-  /// lock); discarded on DATA_LOSS, retire, and drop.
+  /// resumes at `hash.size()`: the temp file holds exactly the bytes
+  /// hashed so far. Touched only from the follower thread (no lock) and
+  /// from Stop after the join; discarded (file deleted) on DATA_LOSS,
+  /// retire, drop, and Stop.
   struct PartialFetch {
-    std::vector<uint8_t> image;
+    std::string temp_path;
+    XxHash64Stream hash;  ///< paused whole-image digest
     std::string declared_digest;
   };
   std::map<std::pair<std::string, uint64_t>, PartialFetch> partials_;

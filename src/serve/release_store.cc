@@ -128,14 +128,17 @@ Result<SnapshotPtr> ReleaseStore::InstallBuilt(const std::string& name,
   const uint64_t epoch = snap->epoch;
   // A durable store persists before it installs: a publish that is visible
   // to queries but missing from disk would silently vanish on restart.
+  std::shared_ptr<const recpriv::store::SnapshotImage> image;
   if (!snapshot_dir_.empty()) {
-    RECPRIV_RETURN_NOT_OK(
-        recpriv::store::WriteSnapshot(*snap, name, ManagedPath(name, epoch)));
+    RECPRIV_ASSIGN_OR_RETURN(
+        image, recpriv::store::SnapshotImage::Make(*snap, name, snap));
+    RECPRIV_RETURN_NOT_OK(image->WriteFile(ManagedPath(name, epoch)));
   }
   SnapshotPtr served;
   std::vector<uint64_t> evicted;
   std::vector<StoreEvent> events;
-  events.push_back({StoreEvent::Kind::kInstall, name, epoch, snap});
+  events.push_back(
+      {StoreEvent::Kind::kInstall, name, epoch, snap, std::move(image)});
   {
     std::lock_guard<std::mutex> lock(mu_);
     evicted = InstallLocked(name, std::move(snap));
@@ -145,7 +148,7 @@ Result<SnapshotPtr> ReleaseStore::InstallBuilt(const std::string& name,
   }
   for (const uint64_t e : evicted) {
     if (!snapshot_dir_.empty()) std::remove(ManagedPath(name, e).c_str());
-    events.push_back({StoreEvent::Kind::kRetire, name, e, nullptr});
+    events.push_back({StoreEvent::Kind::kRetire, name, e, nullptr, nullptr});
   }
   Notify(events);
   return served;
@@ -250,7 +253,7 @@ Result<ReleaseInfo> ReleaseStore::Drop(const std::string& name) {
       std::remove(ManagedPath(name, e).c_str());
     }
   }
-  Notify({{StoreEvent::Kind::kDrop, name, info.epoch, nullptr}});
+  Notify({{StoreEvent::Kind::kDrop, name, info.epoch, nullptr, nullptr}});
   return info;
 }
 
@@ -271,7 +274,8 @@ Result<ReleaseInfo> ReleaseStore::OpenSnapshot(const std::string& path) {
   ReleaseInfo info;
   std::vector<uint64_t> evicted;
   std::vector<StoreEvent> events;
-  events.push_back({StoreEvent::Kind::kInstall, name, epoch, opened.snapshot});
+  events.push_back(
+      {StoreEvent::Kind::kInstall, name, epoch, opened.snapshot, nullptr});
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = releases_.find(name);
@@ -291,7 +295,7 @@ Result<ReleaseInfo> ReleaseStore::OpenSnapshot(const std::string& path) {
   }
   for (const uint64_t e : evicted) {
     if (!snapshot_dir_.empty()) std::remove(ManagedPath(name, e).c_str());
-    events.push_back({StoreEvent::Kind::kRetire, name, e, nullptr});
+    events.push_back({StoreEvent::Kind::kRetire, name, e, nullptr, nullptr});
   }
   Notify(events);
   return info;
@@ -309,16 +313,27 @@ Status ReleaseStore::RecoverFromDir() {
     return Status::IOError("cannot create snapshot directory " +
                            snapshot_dir_ + ": " + ec.message());
   }
+  const std::string stale_tmp =
+      ".rps" + std::string(recpriv::store::kAtomicTempSuffix);
+  const std::string stale_part =
+      ".rps" + std::string(recpriv::store::kPartialTransferSuffix);
   std::vector<std::string> paths;
+  std::vector<std::string> stale;
   for (const auto& entry : fs::directory_iterator(snapshot_dir_, ec)) {
-    if (entry.is_regular_file() && entry.path().extension() == ".rps") {
-      paths.push_back(entry.path().string());
+    if (!entry.is_regular_file()) continue;
+    std::string path = entry.path().string();
+    if (entry.path().extension() == ".rps") {
+      paths.push_back(std::move(path));
+    } else if (path.ends_with(stale_tmp) || path.ends_with(stale_part)) {
+      stale.push_back(std::move(path));
     }
   }
   if (ec) {
     return Status::IOError("cannot scan snapshot directory " + snapshot_dir_ +
                            ": " + ec.message());
   }
+  // Crash leftovers: nothing resumes from them, so they would only leak.
+  for (const std::string& path : stale) std::remove(path.c_str());
   // Deterministic order; the window trim keeps the newest epochs whatever
   // the order, but error messages and eviction order stay reproducible.
   std::sort(paths.begin(), paths.end());

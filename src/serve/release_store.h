@@ -37,6 +37,10 @@
 #include "common/result.h"
 #include "core/streaming.h"
 
+namespace recpriv::store {
+class SnapshotImage;
+}  // namespace recpriv::store
+
 namespace recpriv::serve {
 
 using SnapshotPtr = std::shared_ptr<const recpriv::analysis::ReleaseSnapshot>;
@@ -71,6 +75,11 @@ struct StoreEvent {
   /// The installed snapshot (kInstall only) — handed to listeners directly
   /// so they never race the retention window to re-look it up.
   SnapshotPtr snapshot;
+  /// The image layout a durable store persisted the snapshot from
+  /// (kInstall from a durable publish only; null otherwise). It pins the
+  /// snapshot and carries the section checksums and image digest, so a
+  /// replication provider reuses them instead of laying the image out again.
+  std::shared_ptr<const recpriv::store::SnapshotImage> image;
 };
 
 /// Thread-safe registry of named release snapshots.
@@ -195,9 +204,12 @@ class ReleaseStore {
   Result<ReleaseInfo> OpenSnapshot(const std::string& path);
 
   /// Recovers every `*.rps` file under snapshot_dir (creating the
-  /// directory if absent). Fails fast with the offending path on the first
-  /// unreadable or corrupt file — a durable store that silently skipped a
-  /// corrupt epoch would serve different data than it persisted.
+  /// directory if absent), first deleting the temp files a crash can leave
+  /// there (`*.rps.tmp` from an atomic write, `*.rps.part` from a
+  /// follower's transfer) — nothing ever resumes from them. Fails fast
+  /// with the offending path on the first unreadable or corrupt file — a
+  /// durable store that silently skipped a corrupt epoch would serve
+  /// different data than it persisted.
   /// FailedPrecondition when the store has no snapshot directory.
   Status RecoverFromDir();
 

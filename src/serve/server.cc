@@ -390,12 +390,13 @@ void Server::OnStoreEvent(const StoreEvent& event) {
   switch (event.kind) {
     case StoreEvent::Kind::kInstall: {
       out.kind = client::EpochEvent::Kind::kPublish;
-      // Pack from the event's own snapshot (no store re-lookup race) —
-      // this also warms the provider cache for the fetches that follow.
-      auto packed =
-          options_.snapshot_provider->Pack(event.release, event.snapshot);
-      if (!packed.ok()) return;  // unserializable: followers resync later
-      out.digest = repl::FormatDigest(packed->digest);
+      // Pack from the event's own snapshot (no store re-lookup race) and,
+      // on a durable store, the layout it was just persisted from — this
+      // also warms the provider cache for the fetches that follow.
+      auto image = options_.snapshot_provider->Pack(
+          event.release, event.snapshot, event.image);
+      if (!image.ok()) return;  // unserializable: followers resync later
+      out.digest = repl::FormatDigest((*image)->digest());
       break;
     }
     case StoreEvent::Kind::kRetire:

@@ -26,7 +26,11 @@
 //
 // Replication push: when ServerOptions carries a SnapshotProvider, the
 // server registers a ReleaseStore listener and fans every install/retire/
-// drop out to subscribed sessions as pushed event lines. The listener
+// drop out to subscribed sessions as pushed event lines. An install's
+// event carries the image digest, which the listener takes from the
+// provider: on a durable store that is the layout the publish was just
+// persisted from (no second pass over the image); on an in-memory store
+// the listener lays the image out once, on the publishing thread. The listener
 // thread never writes a socket directly — a session is owned by exactly
 // one party at a time (poller or slice), so the fan-out only appends the
 // pre-encoded line to the session's own locked push queue and wakes the

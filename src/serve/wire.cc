@@ -259,12 +259,12 @@ Result<JsonValue> HandleSubscribe(QueryEngine& engine,
     if (!window.ok()) continue;  // dropped between List() and Window()
     JsonValue epochs = JsonValue::Array();
     for (const SnapshotPtr& snap : *window) {
-      RECPRIV_ASSIGN_OR_RETURN(repl::SnapshotProvider::Packed packed,
+      RECPRIV_ASSIGN_OR_RETURN(repl::SnapshotProvider::Image image,
                                context.snapshots->Pack(rel.name, snap));
       JsonValue entry = JsonValue::Object();
       entry.Set("epoch", JsonValue::Uint(uint64_t(snap->epoch)));
       entry.Set("digest",
-                JsonValue::String(repl::FormatDigest(packed.digest)));
+                JsonValue::String(repl::FormatDigest(image->digest())));
       epochs.Append(std::move(entry));
     }
     JsonValue entry = JsonValue::Object();
@@ -301,35 +301,37 @@ Result<JsonValue> HandleFetchSnapshot(const JsonValue& request,
     }
     max_bytes = std::min(raw, kMaxFetchChunkBytes);
   }
-  RECPRIV_ASSIGN_OR_RETURN(repl::SnapshotProvider::Packed packed,
+  RECPRIV_ASSIGN_OR_RETURN(repl::SnapshotProvider::Image image,
                            context.snapshots->Get(release, epoch));
-  const std::vector<uint8_t>& bytes = *packed.bytes;
-  if (offset > bytes.size()) {
+  if (offset > image->size()) {
     return Status::InvalidArgument(
         "'offset' " + std::to_string(offset) + " is beyond the image (" +
-        std::to_string(bytes.size()) + " bytes)");
+        std::to_string(image->size()) + " bytes)");
   }
-  const uint64_t len = std::min<uint64_t>(max_bytes, bytes.size() - offset);
+  const uint64_t len = std::min<uint64_t>(max_bytes, image->size() - offset);
+  // Only this chunk is ever copied out of the snapshot's arrays.
+  std::string chunk(size_t(len), '\0');
+  RECPRIV_RETURN_NOT_OK(image->Read(
+      offset, {reinterpret_cast<uint8_t*>(chunk.data()), chunk.size()}));
+  const auto* bytes = reinterpret_cast<const uint8_t*>(chunk.data());
   JsonValue out = JsonValue::Object();
   out.Set("release", JsonValue::String(release));
   out.Set("epoch", JsonValue::Uint(epoch));
   out.Set("offset", JsonValue::Uint(offset));
-  out.Set("total_bytes", JsonValue::Uint(uint64_t(bytes.size())));
-  out.Set("digest", JsonValue::String(repl::FormatDigest(packed.digest)));
-  out.Set("chunk_digest",
-          JsonValue::String(repl::FormatDigest(
-              repl::BytesDigest(bytes.data() + offset, len))));
+  out.Set("total_bytes", JsonValue::Uint(image->size()));
+  out.Set("digest", JsonValue::String(repl::FormatDigest(image->digest())));
+  out.Set("chunk_digest", JsonValue::String(repl::FormatDigest(
+                              repl::BytesDigest(bytes, chunk.size()))));
   if (context.binary_session) {
     // The chunk rides as the response frame's raw attachment: no base64
     // expansion, no JSON string escaping pass over the payload.
     out.Set("data_bytes", JsonValue::Uint(len));
-    info->attachment.assign(
-        reinterpret_cast<const char*>(bytes.data() + offset), size_t(len));
+    info->attachment = std::move(chunk);
   } else {
-    out.Set("data_b64", JsonValue::String(Base64Encode(bytes.data() + offset,
-                                                       size_t(len))));
+    out.Set("data_b64",
+            JsonValue::String(Base64Encode(bytes, chunk.size())));
   }
-  out.Set("eof", JsonValue::Bool(offset + len == bytes.size()));
+  out.Set("eof", JsonValue::Bool(offset + len == image->size()));
   return out;
 }
 

@@ -40,7 +40,8 @@
 //   * replication ops (TCP front end only): "subscribe" upgrades the
 //     session into a push stream of epoch events and returns the full
 //     retained-epoch listing with content digests; "fetch_snapshot"
-//     streams a serialized `.rps` image in checksummed base64 chunks;
+//     streams an `.rps` image in checksummed chunks (base64 on line
+//     sessions, raw attachments on binary ones — see "hello");
 //   * "hello" negotiates the session framing. JSON lines are the default
 //     and the compatibility surface; a client on a frame-capable transport
 //     may ask for length-prefixed binary frames (net/line_channel.h):
@@ -130,7 +131,8 @@ inline constexpr uint64_t kMaxFetchChunkBytes = 1024 * 1024;
 /// in-process paths leave it unset and the field stays absent).
 struct RequestContext {
   std::function<client::TransportStats()> transport_stats;
-  /// Serialized snapshot images for the replication ops; "subscribe" and
+  /// Snapshot images for the replication ops ("fetch_snapshot" copies each
+  /// chunk straight out of the snapshot's arrays); "subscribe" and
   /// "fetch_snapshot" answer UNSUPPORTED while this is null.
   repl::SnapshotProvider* snapshots = nullptr;
   /// Invoked by a successful "subscribe" to upgrade the session into a

@@ -1,10 +1,11 @@
 #include "store/snapshot_writer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <span>
-#include <vector>
+#include <functional>
+#include <utility>
 
 #include "common/checksum.h"
 #include "store/snapshot_format.h"
@@ -15,23 +16,48 @@ namespace {
 
 /// The little-endian payload bytes of a scalar array. On an LE host the
 /// in-memory representation already is the payload (no copy); a BE host
-/// re-encodes element by element into `scratch`.
+/// re-encodes element by element into a new buffer of `reencoded`.
 template <typename T>
-std::span<const uint8_t> PayloadBytes(std::span<const T> data,
-                                      std::vector<uint8_t>& scratch) {
+std::span<const uint8_t> PayloadBytes(
+    std::span<const T> data, std::vector<std::vector<uint8_t>>& reencoded) {
   if constexpr (HostIsLittleEndian()) {
     return {reinterpret_cast<const uint8_t*>(data.data()), data.size_bytes()};
   } else {
-    scratch.resize(data.size_bytes());
+    // Moving the outer vector's elements keeps each buffer in place, so
+    // the returned span survives later growth of `reencoded`.
+    std::vector<uint8_t>& out = reencoded.emplace_back(data.size_bytes());
     for (size_t i = 0; i < data.size(); ++i) {
       if constexpr (sizeof(T) == 4) {
-        StoreLE32(uint32_t(data[i]), scratch.data() + i * 4);
+        StoreLE32(uint32_t(data[i]), out.data() + i * 4);
       } else {
-        StoreLE64(uint64_t(data[i]), scratch.data() + i * 8);
+        StoreLE64(uint64_t(data[i]), out.data() + i * 8);
       }
     }
-    return scratch;
+    return out;
   }
+}
+
+/// Writes `path` via `path + kAtomicTempSuffix` + rename: `fill` streams
+/// the content into the temp file, which is removed on any failure.
+Status WriteAtomic(const std::string& path,
+                   const std::function<void(std::ofstream&)>& fill) {
+  const std::string tmp = path + std::string(kAtomicTempSuffix);
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IOError("cannot write snapshot: " + tmp);
+    fill(out);
+    out.flush();
+    if (!out) {
+      out.close();
+      std::remove(tmp.c_str());
+      return Status::IOError("short write to snapshot: " + tmp);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot rename snapshot into place: " + path);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -97,42 +123,72 @@ JsonValue BuildSnapshotManifest(const analysis::ReleaseSnapshot& snap,
   return root;
 }
 
-Result<std::vector<uint8_t>> SerializeSnapshot(
-    const analysis::ReleaseSnapshot& snap, std::string_view release_name) {
+template <typename Sink>
+void SnapshotImage::Visit(uint64_t begin, uint64_t end, Sink&& sink) const {
+  static constexpr uint8_t kZeros[kSectionAlignment] = {};
+  auto zeros = [&sink](uint64_t from, uint64_t to) {
+    while (from < to) {
+      const uint64_t n = std::min<uint64_t>(to - from, sizeof(kZeros));
+      sink(std::span<const uint8_t>(kZeros, size_t(n)));
+      from += n;
+    }
+  };
+  // The first extent that ends after `begin`.
+  auto it = std::upper_bound(
+      extents_.begin(), extents_.end(), begin,
+      [](uint64_t pos, const Extent& e) {
+        return pos < e.offset + e.bytes.size();
+      });
+  uint64_t pos = begin;
+  for (; pos < end && it != extents_.end() && it->offset < end; ++it) {
+    if (pos < it->offset) {
+      zeros(pos, it->offset);
+      pos = it->offset;
+    }
+    const uint64_t stop =
+        std::min<uint64_t>(end, it->offset + it->bytes.size());
+    sink(it->bytes.subspan(size_t(pos - it->offset), size_t(stop - pos)));
+    pos = stop;
+  }
+  zeros(pos, end);
+}
+
+Result<std::shared_ptr<const SnapshotImage>> SnapshotImage::Make(
+    const analysis::ReleaseSnapshot& snap, std::string_view release_name,
+    std::shared_ptr<const void> keep_alive) {
+  std::shared_ptr<SnapshotImage> image(new SnapshotImage());
+  image->keep_alive_ = std::move(keep_alive);
   const auto storage = snap.index.storage();
   const table::Table& data = snap.bundle.data;
 
   const std::string manifest =
       BuildSnapshotManifest(snap, release_name).ToString(/*indent=*/2);
+  image->manifest_.assign(manifest.begin(), manifest.end());
 
-  // The table's code columns, concatenated column-major into one section.
-  std::vector<uint32_t> table_cells;
-  table_cells.reserve(data.num_columns() * data.num_rows());
-  for (size_t c = 0; c < data.num_columns(); ++c) {
-    const auto& col = data.column(c);
-    table_cells.insert(table_cells.end(), col.begin(), col.end());
-  }
-
-  struct Payload {
+  // One section is one or more consecutive pieces: the table section is
+  // the code columns back to back, column-major, each borrowed in place.
+  struct Section {
     SectionKind kind;
     uint32_t elem_bytes;
     uint64_t count;
-    std::span<const uint8_t> bytes;
-    std::vector<uint8_t> scratch;  // BE-host re-encode buffer
+    std::vector<std::span<const uint8_t>> pieces;
   };
-  std::vector<Payload> payloads;
-  payloads.push_back({SectionKind::kManifestJson, 1, manifest.size(), {}, {}});
-  payloads.back().bytes = {
-      reinterpret_cast<const uint8_t*>(manifest.data()), manifest.size()};
-  auto add_array = [&payloads](SectionKind kind, auto span) {
+  std::vector<Section> sections;
+  sections.push_back({SectionKind::kManifestJson, 1, manifest.size(),
+                      {std::span<const uint8_t>(image->manifest_)}});
+  Section table_section{SectionKind::kTableColumns, uint32_t(sizeof(uint32_t)),
+                        0, {}};
+  for (size_t c = 0; c < data.num_columns(); ++c) {
+    const std::span<const uint32_t> col(data.column(c));
+    table_section.count += col.size();
+    table_section.pieces.push_back(PayloadBytes(col, image->reencoded_));
+  }
+  sections.push_back(std::move(table_section));
+  auto add_array = [&](SectionKind kind, auto span) {
     using Elem = typename decltype(span)::element_type;
-    // `bytes` is set only after the Payload reaches its final address —
-    // on a BE host it views the payload's own `scratch` buffer.
-    payloads.push_back({kind, uint32_t(sizeof(Elem)), span.size(), {}, {}});
-    payloads.back().bytes = PayloadBytes(span, payloads.back().scratch);
+    sections.push_back({kind, uint32_t(sizeof(Elem)), span.size(),
+                        {PayloadBytes(span, image->reencoded_)}});
   };
-  add_array(SectionKind::kTableColumns,
-            std::span<const uint32_t>(table_cells));
   add_array(SectionKind::kNaCodes, storage.na_codes);
   add_array(SectionKind::kSaCounts, storage.sa_counts);
   add_array(SectionKind::kRowOffsets, storage.row_offsets);
@@ -143,19 +199,27 @@ Result<std::vector<uint8_t>> SerializeSnapshot(
 
   // Lay out sections on alignment boundaries and checksum each payload.
   Superblock sb;
-  sb.section_count = uint32_t(payloads.size());
+  sb.section_count = uint32_t(sections.size());
   sb.table_offset = kSuperblockBytes;
-  sb.table_bytes = payloads.size() * kSectionEntryBytes;
-  std::vector<SectionEntry> entries(payloads.size());
+  sb.table_bytes = sections.size() * kSectionEntryBytes;
+  std::vector<SectionEntry> entries(sections.size());
   uint64_t offset = AlignUp(kSuperblockBytes + sb.table_bytes);
-  for (size_t i = 0; i < payloads.size(); ++i) {
+  for (size_t i = 0; i < sections.size(); ++i) {
     SectionEntry& e = entries[i];
-    e.kind = uint32_t(payloads[i].kind);
-    e.elem_bytes = payloads[i].elem_bytes;
-    e.count = payloads[i].count;
+    e.kind = uint32_t(sections[i].kind);
+    e.elem_bytes = sections[i].elem_bytes;
+    e.count = sections[i].count;
     e.offset = offset;
-    e.bytes = payloads[i].bytes.size();
-    e.crc = XxHash64(payloads[i].bytes.data(), payloads[i].bytes.size());
+    XxHash64Stream crc;
+    for (const std::span<const uint8_t> piece : sections[i].pieces) {
+      crc.Update(piece.data(), piece.size());
+      if (!piece.empty()) {
+        image->extents_.push_back({e.offset + crc.size() - piece.size(),
+                                   piece});
+      }
+    }
+    e.bytes = crc.size();
+    e.crc = crc.Digest();
     offset = AlignUp(offset + e.bytes);
   }
   sb.file_bytes =
@@ -163,7 +227,8 @@ Result<std::vector<uint8_t>> SerializeSnapshot(
 
   // Header region (superblock + section table) with the checksum field
   // zeroed while hashing, then patched in.
-  std::vector<uint8_t> header(kSuperblockBytes + sb.table_bytes, 0);
+  std::vector<uint8_t>& header = image->header_;
+  header.assign(kSuperblockBytes + sb.table_bytes, 0);
   EncodeSuperblock(sb, header.data());
   for (size_t i = 0; i < entries.size(); ++i) {
     EncodeSectionEntry(entries[i],
@@ -172,43 +237,64 @@ Result<std::vector<uint8_t>> SerializeSnapshot(
   }
   sb.header_crc = XxHash64(header.data(), header.size());
   StoreLE64(sb.header_crc, header.data() + 56);
+  image->extents_.insert(image->extents_.begin(),
+                         Extent{0, std::span<const uint8_t>(header)});
+  image->size_ = sb.file_bytes;
 
-  std::vector<uint8_t> image(sb.file_bytes, 0);
-  std::memcpy(image.data(), header.data(), header.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    if (payloads[i].bytes.empty()) continue;
-    std::memcpy(image.data() + entries[i].offset, payloads[i].bytes.data(),
-                payloads[i].bytes.size());
+  XxHash64Stream digest;
+  image->Visit(0, image->size_, [&digest](std::span<const uint8_t> piece) {
+    digest.Update(piece.data(), piece.size());
+  });
+  image->digest_ = digest.Digest();
+  return std::shared_ptr<const SnapshotImage>(std::move(image));
+}
+
+Status SnapshotImage::Read(uint64_t offset, std::span<uint8_t> out) const {
+  if (offset > size_ || out.size() > size_ - offset) {
+    return Status::InvalidArgument(
+        "image range [" + std::to_string(offset) + ", +" +
+        std::to_string(out.size()) + ") is beyond the image (" +
+        std::to_string(size_) + " bytes)");
   }
-  return image;
+  uint8_t* dst = out.data();
+  Visit(offset, offset + out.size(), [&dst](std::span<const uint8_t> piece) {
+    std::memcpy(dst, piece.data(), piece.size());
+    dst += piece.size();
+  });
+  return Status::OK();
+}
+
+Status SnapshotImage::WriteFile(const std::string& path) const {
+  return WriteAtomic(path, [this](std::ofstream& out) {
+    Visit(0, size_, [&out](std::span<const uint8_t> piece) {
+      out.write(reinterpret_cast<const char*>(piece.data()),
+                std::streamsize(piece.size()));
+    });
+  });
+}
+
+Result<std::vector<uint8_t>> SerializeSnapshot(
+    const analysis::ReleaseSnapshot& snap, std::string_view release_name) {
+  RECPRIV_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotImage> image,
+                           SnapshotImage::Make(snap, release_name));
+  std::vector<uint8_t> bytes(image->size());
+  RECPRIV_RETURN_NOT_OK(image->Read(0, bytes));
+  return bytes;
 }
 
 Status WriteBytesAtomic(const std::vector<uint8_t>& bytes,
                         const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot write snapshot: " + tmp);
+  return WriteAtomic(path, [&bytes](std::ofstream& out) {
     out.write(reinterpret_cast<const char*>(bytes.data()),
               std::streamsize(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::IOError("short write to snapshot: " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename snapshot into place: " + path);
-  }
-  return Status::OK();
+  });
 }
 
 Status WriteSnapshot(const analysis::ReleaseSnapshot& snap,
                      std::string_view release_name, const std::string& path) {
-  RECPRIV_ASSIGN_OR_RETURN(std::vector<uint8_t> image,
-                           SerializeSnapshot(snap, release_name));
-  return WriteBytesAtomic(image, path);
+  RECPRIV_ASSIGN_OR_RETURN(std::shared_ptr<const SnapshotImage> image,
+                           SnapshotImage::Make(snap, release_name));
+  return image->WriteFile(path);
 }
 
 }  // namespace recpriv::store

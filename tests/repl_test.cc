@@ -339,27 +339,36 @@ TEST(ReplFetchTest, TamperedChunkIsStructuredDataLoss) {
   EXPECT_EQ(chunk.status().code(), StatusCode::kDataLoss);
 }
 
-/// A fake primary whose chunks pass the per-chunk check but whose image
+/// A fake primary on plain JSON lines: its request context cannot frame,
+/// so it answers a follower's "hello" with "frame":"json", and it never
+/// pushes events (followers mirror its subscribe listing). With
+/// `corrupt_images` its chunks pass the per-chunk check but the image
 /// digest cannot: it recomputes chunk_digest over corrupted bytes, so only
 /// the follower's whole-image verification can catch it.
-class CorruptImagePrimary {
+class JsonOnlyPrimary {
  public:
-  explicit CorruptImagePrimary(std::shared_ptr<serve::QueryEngine> engine,
-                               SnapshotProvider* provider)
-      : engine_(std::move(engine)), provider_(provider) {
+  JsonOnlyPrimary(std::shared_ptr<serve::QueryEngine> engine,
+                  SnapshotProvider* provider, bool corrupt_images)
+      : engine_(std::move(engine)),
+        provider_(provider),
+        corrupt_images_(corrupt_images) {
     auto listener = net::Listener::Bind("127.0.0.1", 0);
     EXPECT_TRUE(listener.ok()) << listener.status();
     listener_ = std::move(*listener);
     thread_ = std::thread([this] { Serve(); });
   }
 
-  ~CorruptImagePrimary() {
+  ~JsonOnlyPrimary() {
+    // The serving thread polls stopping_ every 50 ms; join it before
+    // closing the listener it reads.
     stopping_ = true;
-    listener_.Close();
     thread_.join();
+    listener_.Close();
   }
 
   uint16_t port() const { return listener_.port(); }
+  /// "hello" requests answered, every one of them with "frame":"json".
+  int hellos_answered_json() const { return hellos_answered_json_; }
 
  private:
   void Serve() {
@@ -375,9 +384,14 @@ class CorruptImagePrimary {
         auto read = channel.ReadLine(50);
         if (!read.ok() || read->event == net::ReadEvent::kEof) break;
         if (read->event != net::ReadEvent::kLine) continue;
+        serve::RequestInfo info;
         std::string response = serve::HandleRequestLine(
-            read->line, *engine_, context, nullptr);
-        Corrupt(&response);
+            read->line, *engine_, context, &info);
+        if (info.op == "hello" && info.ok && !info.negotiated_binary &&
+            response.find("\"frame\":\"json\"") != std::string::npos) {
+          ++hellos_answered_json_;
+        }
+        if (corrupt_images_) Corrupt(&response);
         if (!channel.WriteLine(response, 1000).ok()) break;
       }
     }
@@ -403,8 +417,10 @@ class CorruptImagePrimary {
 
   std::shared_ptr<serve::QueryEngine> engine_;
   SnapshotProvider* provider_;
+  const bool corrupt_images_;
   net::Listener listener_;
   std::atomic<bool> stopping_{false};
+  std::atomic<int> hellos_answered_json_{0};
   std::thread thread_;
 };
 
@@ -416,7 +432,7 @@ TEST(ReplicatorTest, RejectsCorruptImageAndNeverInstalls) {
   client::InProcessClient admin(engine);
   ASSERT_TRUE(admin.PublishBundle("rel", DemoBundle(1)).ok());
   SnapshotProvider provider(*store);
-  CorruptImagePrimary primary(engine, &provider);
+  JsonOnlyPrimary primary(engine, &provider, /*corrupt_images=*/true);
 
   const std::string dir = TempDir("corrupt_image");
   ReplicatorOptions repl_options;
@@ -433,6 +449,50 @@ TEST(ReplicatorTest, RejectsCorruptImageAndNeverInstalls) {
   EXPECT_GE(stats.digest_mismatches, 2u);  // rejected on every attempt
   EXPECT_EQ(stats.installs, 0u);           // nothing corrupt was installed
   EXPECT_EQ(f.store->size(), 0u);
+  f.replicator->Stop();
+  // Each DATA_LOSS verdict deleted its partial transfer: nothing of the
+  // corrupt image is left on disk.
+  EXPECT_TRUE(fs::is_empty(dir));
+  fs::remove_all(dir);
+}
+
+TEST(ReplicatorTest, FollowsAJsonOnlyPrimary) {
+  auto store = std::make_shared<serve::ReleaseStore>();
+  serve::QueryEngineOptions options;
+  options.num_threads = 1;
+  auto engine = std::make_shared<serve::QueryEngine>(store, options);
+  client::InProcessClient admin(engine);
+  ASSERT_TRUE(admin.PublishBundle("rel", DemoBundle(1)).ok());
+  SnapshotProvider provider(*store);
+  JsonOnlyPrimary primary(engine, &provider, /*corrupt_images=*/false);
+
+  // The follower offers binary frames, is told "json", and mirrors over
+  // line-framed base64 chunks: verified, persisted, installed.
+  const std::string dir = TempDir("json_only");
+  Follower f = Follower::Make(dir, primary.port());
+  ASSERT_TRUE(f.replicator->WaitForEpoch("rel", 1, 5000));
+  EXPECT_GE(primary.hellos_answered_json(), 1);
+  const client::ReplicationStats stats = f.replicator->Stats();
+  EXPECT_EQ(stats.installs, 1u);
+  EXPECT_EQ(stats.digest_mismatches, 0u);
+
+  auto path = f.store->ManagedSnapshotPath("rel", 1);
+  ASSERT_TRUE(path.ok());
+  auto file_digest = FileDigest(*path);
+  ASSERT_TRUE(file_digest.ok());
+  auto image = provider.Get("rel", 1);
+  ASSERT_TRUE(image.ok());
+  EXPECT_EQ(*file_digest, (*image)->digest());
+  EXPECT_EQ(stats.bytes_fetched, (*image)->size());
+
+  client::InProcessClient primary_reader(engine);
+  client::InProcessClient follower_reader(f.engine);
+  auto want = primary_reader.Query(DemoQueries("rel"));
+  auto got = follower_reader.Query(DemoQueries("rel"));
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(AnswerFingerprint(*want), AnswerFingerprint(*got));
+
   f.replicator->Stop();
   fs::remove_all(dir);
 }
@@ -477,9 +537,9 @@ TEST(ReplicatorTest, MirrorsPublishesAndDrops) {
   ASSERT_TRUE(file_digest.ok());
   auto primary_snap = p.store->Get("alpha", 2);
   ASSERT_TRUE(primary_snap.ok());
-  auto packed = p.provider->Pack("alpha", *primary_snap);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(*file_digest, packed->digest);
+  auto image = p.provider->Pack("alpha", *primary_snap);
+  ASSERT_TRUE(image.ok());
+  EXPECT_EQ(*file_digest, (*image)->digest());
 
   f.replicator->Stop();
   fs::remove_all(dir);
@@ -530,6 +590,59 @@ TEST(ReplicatorTest, ConvergesCleanUnderInjectedFaults) {
   }
 
   f.replicator->Stop();
+  fs::remove_all(dir);
+}
+
+TEST(ReplicatorTest, ResumedTransfersFetchNoByteTwice) {
+  Primary p = Primary::Make();
+  client::InProcessClient admin(p.engine);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    ASSERT_TRUE(admin.PublishBundle("rel", DemoBundle(seed)).ok());
+  }
+
+  // Faults that kill the link, never the data: each transfer is cut off
+  // mid-image several times and resumes from its temp file.
+  net::FaultOptions fault_options;
+  fault_options.seed = recpriv::testing::HarnessSeed(2015);
+  fault_options.drop_rate = 0.04;
+  fault_options.disconnect_rate = 0.04;
+  fault_options.truncate_rate = 0.04;
+
+  const std::string dir = TempDir("resumed");
+  ReplicatorOptions repl_options;
+  repl_options.chunk_bytes = 512;  // ~35 chunk round trips per epoch
+  repl_options.retry.initial_backoff_ms = 1;
+  repl_options.retry.max_backoff_ms = 20;
+  repl_options.fault_injector =
+      std::make_shared<net::FaultInjector>(fault_options);
+  Follower f = Follower::Make(dir, p.server->port(), repl_options);
+  for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    ASSERT_TRUE(f.replicator->WaitForEpoch("rel", epoch, 30000));
+  }
+  const client::ReplicationStats stats = f.replicator->Stats();
+  f.replicator->Stop();
+
+  EXPECT_GE(stats.reconnects, 1u);  // the schedule really fired
+  EXPECT_EQ(stats.digest_mismatches, 0u);
+  uint64_t image_bytes = 0;
+  for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
+    auto image = p.provider->Get("rel", epoch);
+    ASSERT_TRUE(image.ok()) << image.status();
+    image_bytes += (*image)->size();
+    auto path = f.store->ManagedSnapshotPath("rel", epoch);
+    ASSERT_TRUE(path.ok());
+    auto file_digest = FileDigest(*path);
+    ASSERT_TRUE(file_digest.ok());
+    EXPECT_EQ(*file_digest, (*image)->digest());
+  }
+  EXPECT_EQ(stats.bytes_fetched, image_bytes);
+  // Only the three installed images remain; no partial file leaked.
+  size_t files = 0;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    EXPECT_EQ(e.path().extension(), ".rps") << e.path();
+    ++files;
+  }
+  EXPECT_EQ(files, 3u);
   fs::remove_all(dir);
 }
 
@@ -806,12 +919,12 @@ TEST(ReplicatorTest, MirrorsOverBinaryFrames) {
   client::InProcessClient admin(p.engine);
   ASSERT_TRUE(admin.PublishBundle("rel", DemoBundle(1)).ok());
 
+  // Followers offer binary frames by default; a real server accepts.
   const std::string dir = TempDir("binary_frames");
-  ReplicatorOptions repl_options;
-  repl_options.binary_frame = true;
-  Follower f = Follower::Make(dir, p.server->port(), repl_options);
+  Follower f = Follower::Make(dir, p.server->port());
   ASSERT_TRUE(f.replicator->WaitForConnected(5000));
   ASSERT_TRUE(f.replicator->WaitForEpoch("rel", 1, 5000));
+  EXPECT_GE(p.server->Metrics().ops["hello"], 1u);
 
   // Live publish arrives as a framed push and fetches as raw attachments;
   // the installed file still hashes to the primary's advertisement.
@@ -823,9 +936,9 @@ TEST(ReplicatorTest, MirrorsOverBinaryFrames) {
   ASSERT_TRUE(file_digest.ok());
   auto primary_snap = p.store->Get("rel", 2);
   ASSERT_TRUE(primary_snap.ok());
-  auto packed = p.provider->Pack("rel", *primary_snap);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(*file_digest, packed->digest);
+  auto image = p.provider->Pack("rel", *primary_snap);
+  ASSERT_TRUE(image.ok());
+  EXPECT_EQ(*file_digest, (*image)->digest());
   EXPECT_EQ(f.replicator->Stats().digest_mismatches, 0u);
 
   f.replicator->Stop();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -17,6 +18,8 @@
 #include "client/in_process_client.h"
 #include "common/checksum.h"
 #include "common/endian.h"
+#include "common/random.h"
+#include "repl/digest.h"
 #include "serve/release_store.h"
 #include "store/snapshot_format.h"
 #include "store/snapshot_reader.h"
@@ -108,6 +111,69 @@ TEST(Checksum, SensitiveToEveryByte) {
     data[i] ^= 0x01;
     EXPECT_NE(XxHash64(data.data(), data.size()), base) << "byte " << i;
     data[i] ^= 0x01;
+  }
+}
+
+/// XxHash64Stream over `data` fed in random-length pieces.
+uint64_t StreamDigest(const std::vector<uint8_t>& data, Rng& rng,
+                      uint64_t seed = 0) {
+  XxHash64Stream stream(seed);
+  size_t pos = 0;
+  while (pos < data.size()) {
+    const size_t n = size_t(rng.NextUint64(data.size() - pos + 1));
+    stream.Update(data.data() + pos, n);  // n == 0 feeds an empty piece
+    pos += n;
+  }
+  EXPECT_EQ(stream.size(), data.size());
+  return stream.Digest();
+}
+
+TEST(Checksum, StreamMatchesOfficialVectors) {
+  XxHash64Stream empty;
+  EXPECT_EQ(empty.Digest(), 0xef46db3751d8e999ULL);
+  XxHash64Stream abc;
+  abc.Update("a", 1);
+  abc.Update("", 0);
+  abc.Update("bc", 2);
+  EXPECT_EQ(abc.Digest(), 0x44bc2cf5ad770999ULL);
+  XxHash64Stream seeded(1);
+  seeded.Update("abc", 3);
+  EXPECT_EQ(seeded.Digest(), XxHash64("abc", 3, 1));
+}
+
+TEST(Checksum, StreamMatchesOneShotUnderRandomSplits) {
+  Rng rng(recpriv::testing::HarnessSeed(2015));
+  // Empty, under one stripe, exactly one stripe, and lengths around the
+  // stripe and tail boundaries, each split many ways.
+  for (const size_t len : {0, 1, 3, 4, 7, 8, 31, 32, 33, 63, 64, 65, 95,
+                           96, 100, 1000, 4099}) {
+    std::vector<uint8_t> data(len);
+    for (uint8_t& b : data) b = uint8_t(rng.NextUint64(256));
+    for (const uint64_t seed : {uint64_t{0}, uint64_t{20150323}}) {
+      const uint64_t want = XxHash64(data.data(), data.size(), seed);
+      for (int split = 0; split < 20; ++split) {
+        ASSERT_EQ(StreamDigest(data, rng, seed), want)
+            << "len " << len << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Checksum, StreamUpdatesStraddlingStripeBoundaries) {
+  std::vector<uint8_t> data(200);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = uint8_t(i * 37 + 1);
+  const uint64_t want = XxHash64(data.data(), data.size());
+  // Every first piece length 1..199 leaves a partial stripe buffered that
+  // the second piece must complete; a copied stream resumes identically.
+  for (size_t first = 1; first < data.size(); ++first) {
+    XxHash64Stream stream;
+    stream.Update(data.data(), first);
+    const XxHash64Stream paused = stream;
+    stream.Update(data.data() + first, data.size() - first);
+    ASSERT_EQ(stream.Digest(), want) << "first " << first;
+    XxHash64Stream resumed = paused;
+    resumed.Update(data.data() + first, data.size() - first);
+    ASSERT_EQ(resumed.Digest(), want) << "first " << first;
   }
 }
 
@@ -477,6 +543,39 @@ TEST(ReleaseStorePersistence, RecoveryFailsFastOnCorruptFile) {
   EXPECT_NE(recovered.message().find("recovery failed"), std::string::npos);
 }
 
+TEST(ReleaseStorePersistence, RecoveryDeletesStaleTempFiles) {
+  const std::string dir = TempDir("recover_stale_tmp");
+  serve::ReleaseStore::Options options;
+  options.snapshot_dir = dir;
+  {
+    serve::ReleaseStore store(options);
+    ASSERT_TRUE(store.RecoverFromDir().ok());
+    ASSERT_TRUE(
+        store.Publish("demo", recpriv::testing::DemoBundle(2015)).ok());
+  }
+  // What a crash leaves behind: a half-written atomic write and a
+  // follower's partial transfer, both truncated garbage.
+  const std::vector<uint8_t> garbage(100, 0x5a);
+  const std::string stale_tmp =
+      dir + "/demo-e2.rps" + std::string(kAtomicTempSuffix);
+  const std::string stale_part =
+      dir + "/demo-e3.rps" + std::string(kPartialTransferSuffix);
+  const std::string unrelated = dir + "/notes.txt";
+  WriteFileBytes(stale_tmp, garbage);
+  WriteFileBytes(stale_part, garbage);
+  WriteFileBytes(unrelated, garbage);
+
+  serve::ReleaseStore restarted(options);
+  ASSERT_TRUE(restarted.RecoverFromDir().ok());
+  auto info = restarted.Info("demo");
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->epoch, 1u);
+  EXPECT_EQ(info->retained_epochs, 1u);
+  EXPECT_FALSE(fs::exists(stale_tmp));
+  EXPECT_FALSE(fs::exists(stale_part));
+  EXPECT_TRUE(fs::exists(unrelated));  // only known temp suffixes go
+}
+
 TEST(ReleaseStorePersistence, DuplicateEpochInstallIsAlreadyExists) {
   const WrittenSnapshot w = WriteDemo("dup_epoch");
   serve::ReleaseStore store;
@@ -508,6 +607,139 @@ TEST(ReleaseStorePersistence, SanitizedFilenamesForHostileNames) {
   serve::ReleaseStore restarted(options);
   ASSERT_TRUE(restarted.RecoverFromDir().ok());
   EXPECT_TRUE(restarted.Get("../etc/passwd x%41").ok());
+}
+
+// --- golden image bytes ------------------------------------------------------
+
+/// A snapshot whose public key needs 9 x 8 = 72 bits, so the index falls
+/// back to wide row-major keys (no kPackedKeys section).
+std::shared_ptr<const ReleaseSnapshot> WideKeySnapshot() {
+  std::vector<table::Attribute> attrs;
+  for (int a = 0; a < 9; ++a) {
+    table::Dictionary d;
+    for (int v = 0; v < 129; ++v) {
+      std::string value = "a";
+      value += std::to_string(a);
+      value += "v";
+      value += std::to_string(v);
+      d.GetOrAdd(value);
+    }
+    attrs.push_back(table::Attribute{"A" + std::to_string(a), std::move(d)});
+  }
+  attrs.push_back(table::Attribute{
+      "SA", *table::Dictionary::FromValues({"s0", "s1", "s2"})});
+  auto schema = std::make_shared<table::Schema>(
+      *table::Schema::Make(std::move(attrs), /*sensitive_index=*/9));
+  table::Table data(schema);
+  Rng rng(20150323);
+  std::vector<uint32_t> row(10);
+  for (int r = 0; r < 600; ++r) {
+    // Codes drawn from a few values per attribute so groups repeat.
+    for (size_t a = 0; a < 9; ++a) row[a] = uint32_t(rng.NextUint64(3) * 61);
+    row[9] = uint32_t(rng.NextUint64(3));
+    data.AppendRowUnchecked(row);
+  }
+  core::PrivacyParams params;
+  params.domain_m = 3;
+  auto snap = SnapshotRelease(ReleaseBundle{std::move(data), params, "SA", {}},
+                              /*epoch=*/3);
+  EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_FALSE((*snap)->index.packed());
+  return *snap;
+}
+
+std::shared_ptr<const ReleaseSnapshot> DemoSnapshot() {
+  auto snap = SnapshotRelease(recpriv::testing::DemoBundle(2015), 7);
+  EXPECT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_TRUE((*snap)->index.packed());
+  return *snap;
+}
+
+/// Size and XXH64 of SerializeSnapshot's output, pinned: the persisted
+/// bytes (and so every replication digest) must never drift.
+struct GoldenImageCase {
+  const char* name;
+  std::shared_ptr<const ReleaseSnapshot> (*make)();
+  uint64_t bytes;
+  uint64_t digest;
+};
+
+const GoldenImageCase kGoldenImages[] = {
+    {"demo", DemoSnapshot, 17568, 0x2ca04e984f516b32ULL},
+    {"wide", WideKeySnapshot, 88416, 0x53bab131fde34af2ULL},
+};
+
+TEST(GoldenImage, SerializedBytesArePinned) {
+  for (const GoldenImageCase& golden : kGoldenImages) {
+    SCOPED_TRACE(golden.name);
+    auto bytes = SerializeSnapshot(*golden.make(), golden.name);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    EXPECT_EQ(bytes->size(), golden.bytes);
+    EXPECT_EQ(XxHash64(bytes->data(), bytes->size()), golden.digest);
+  }
+}
+
+TEST(GoldenImage, RangeReadsSpliceBackToTheWholeImage) {
+  Rng rng(recpriv::testing::HarnessSeed(2015));
+  for (const GoldenImageCase& golden : kGoldenImages) {
+    SCOPED_TRACE(golden.name);
+    const auto snap = golden.make();
+    auto image = SnapshotImage::Make(*snap, golden.name);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    const SnapshotImage& layout = **image;
+    ASSERT_EQ(layout.size(), golden.bytes);
+    EXPECT_EQ(layout.digest(), golden.digest);
+    auto serialized = SerializeSnapshot(*snap, golden.name);
+    ASSERT_TRUE(serialized.ok()) << serialized.status().ToString();
+    const std::vector<uint8_t>& whole = *serialized;
+    ASSERT_EQ(XxHash64(whole.data(), whole.size()), golden.digest);
+
+    // Random (offset, len) reads agree with the whole image...
+    for (int i = 0; i < 200; ++i) {
+      const uint64_t offset = rng.NextUint64(layout.size() + 1);
+      const uint64_t len = rng.NextUint64(layout.size() - offset + 1);
+      std::vector<uint8_t> part(len);
+      ASSERT_TRUE(layout.Read(offset, part).ok());
+      ASSERT_TRUE(std::equal(part.begin(), part.end(),
+                             whole.begin() + ptrdiff_t(offset)))
+          << "offset " << offset << " len " << len;
+    }
+    // ...and consecutive random-length reads splice back to exactly it.
+    std::vector<uint8_t> spliced;
+    while (spliced.size() < layout.size()) {
+      const uint64_t left = layout.size() - spliced.size();
+      std::vector<uint8_t> part(
+          1 + rng.NextUint64(std::min<uint64_t>(left, 777)));
+      ASSERT_TRUE(layout.Read(spliced.size(), part).ok());
+      spliced.insert(spliced.end(), part.begin(), part.end());
+    }
+    EXPECT_EQ(spliced, whole);
+
+    // Ranges past the end are refused, not clamped.
+    std::vector<uint8_t> one(1);
+    EXPECT_EQ(layout.Read(layout.size(), one).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(layout.Read(layout.size(), std::span<uint8_t>()).ok());
+  }
+}
+
+TEST(GoldenImage, StreamedFileDigestIsTheGolden) {
+  const std::string dir = TempDir("golden_file");
+  for (const GoldenImageCase& golden : kGoldenImages) {
+    SCOPED_TRACE(golden.name);
+    const std::string path = dir + "/" + golden.name + ".rps";
+    ASSERT_TRUE(WriteSnapshot(*golden.make(), golden.name, path).ok());
+    EXPECT_FALSE(fs::exists(path + ".tmp"));
+    EXPECT_EQ(fs::file_size(path), golden.bytes);
+    auto digest = repl::FileDigest(path);
+    ASSERT_TRUE(digest.ok()) << digest.status().ToString();
+    EXPECT_EQ(*digest, golden.digest);
+    // The streamed file opens and answers like the original.
+    auto opened = OpenSnapshot(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened->release, golden.name);
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -90,12 +90,11 @@ replication (read-scaling fleet, src/repl):
                       --snapshot-dir or a temp directory) and serve reads
                       from the local copies. Staleness is bounded and
                       observable: the stats op reports a "replication"
-                      section with lag_epochs / lag_ms. Mutually exclusive
-                      with --release, --demo, and NAME=BASENAME.
-  --follow-binary     negotiate binary wire frames on the replication link
-                      (snapshot chunks ride as raw bytes, no base64). Best
-                      effort: a primary that does not speak frames leaves
-                      the link on JSON lines and replication is unchanged.
+                      section with lag_epochs / lag_ms. The link always
+                      offers binary wire frames (snapshot chunks ride as raw
+                      bytes) and falls back to JSON lines when the primary
+                      does not frame. Mutually exclusive with --release,
+                      --demo, and NAME=BASENAME.
   --follow-faults R   inject seeded byte-level faults on the replication
                       link, rate R per fault kind (testing: proves a
                       follower that dies mid-transfer converges clean)
@@ -104,8 +103,7 @@ replication (read-scaling fleet, src/repl):
 
 /// Boolean flags, declared so "--demo NAME=BASENAME" keeps NAME=BASENAME
 /// positional instead of mis-parsing it as --demo's value.
-const std::vector<std::string> kBooleanFlags = {"demo", "help",
-                                                "follow-binary"};
+const std::vector<std::string> kBooleanFlags = {"demo", "help"};
 
 volatile std::sig_atomic_t g_signal = 0;
 void OnSignal(int sig) { g_signal = sig; }
@@ -130,7 +128,7 @@ int Run(int argc, char** argv) {
       "release", "name", "threads",   "cache",           "retain", "demo",
       "help",    "host", "port",      "max-conns",       "idle-timeout-ms",
       "batch-window-us",  "snapshot-dir",  "quota-qps",  "quota-burst",
-      "follow",  "follow-binary",  "follow-faults",  "follow-fault-seed"};
+      "follow",  "follow-faults",  "follow-fault-seed"};
   for (const auto& name : flags.FlagNames()) {
     if (!known.count(name)) {
       std::cerr << "unknown flag --" << name << "\n" << kUsage;
@@ -258,7 +256,6 @@ int Run(int argc, char** argv) {
     repl::ReplicatorOptions repl_options;
     repl_options.primary_host = follow_host;
     repl_options.primary_port = follow_port;
-    repl_options.binary_frame = *flags.GetBool("follow-binary", false);
     if (*follow_faults > 0.0) {
       net::FaultOptions fault_options;
       fault_options.seed = uint64_t(*follow_fault_seed);
