@@ -165,19 +165,6 @@ struct TransportStats {
   std::map<std::string, uint64_t> ops;  ///< per-op request counts
 };
 
-/// Counters of the micro-batching query scheduler (serve/micro_batcher.h).
-/// Present in ServerStats only when the serving engine was started with a
-/// non-zero batch window (recpriv_serve --batch-window-us).
-struct SchedulerStats {
-  uint64_t window_us = 0;              ///< configured collection window
-  uint64_t submissions = 0;            ///< Submit calls, lifetime
-  uint64_t coalesced_submissions = 0;  ///< submissions that joined a batch
-  uint64_t batches = 0;                ///< fused engine evaluations
-  uint64_t batched_queries = 0;        ///< queries across all fused batches
-  uint64_t max_batch_queries = 0;      ///< largest fused batch (queries)
-  uint64_t max_batch_submissions = 0;  ///< largest fused batch (submissions)
-};
-
 /// Provenance of one served release: which path produced its snapshot
 /// ("memory" published in-process, "csv" parsed from a release file,
 /// "snapshot" mapped from a persisted binary snapshot) and what each stage
@@ -282,7 +269,6 @@ struct ServerStats {
   uint64_t threads = 0;
   CacheStats cache;
   std::vector<ReleaseDescriptor> releases;
-  std::optional<SchedulerStats> scheduler;  ///< see SchedulerStats
   std::optional<TransportStats> transport;  ///< see TransportStats
   std::vector<StoreReleaseStats> store;     ///< see StoreReleaseStats
   std::optional<TenantStats> tenants;       ///< see TenantStats

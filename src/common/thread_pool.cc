@@ -100,9 +100,9 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
   }
   // Shared chunk cursor, drained by helper tasks AND by the caller: the
   // caller claims chunks like any worker instead of parking on a latch, so
-  // the loop completes even if every pool worker is busy or blocked (e.g.
-  // parked inside a MicroBatcher follower wait) — a non-pool caller can
-  // never deadlock here, it just ends up doing the work itself.
+  // the loop completes even if every pool worker is busy or blocked — a
+  // non-pool caller can never deadlock here, it just ends up doing the
+  // work itself.
   struct ForJob {
     const std::function<void(size_t, size_t)>* fn;
     size_t begin, end, grain;

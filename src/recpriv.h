@@ -103,7 +103,6 @@
 #include "store/snapshot_writer.h"
 
 #include "serve/answer_cache.h"
-#include "serve/micro_batcher.h"
 #include "serve/query_engine.h"
 #include "serve/release_store.h"
 #include "serve/server.h"

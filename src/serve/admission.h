@@ -6,11 +6,11 @@
 // capped at `quota_burst` tokens of depth, one token per query. A batch
 // whose tenant has too few tokens is rejected with RESOURCE_EXHAUSTED
 // before it touches the engine pool, so one abusive tenant exhausts its
-// own bucket — not the shared workers, cache, or batcher window.
+// own bucket — not the shared workers or cache.
 //
 // The controller lives on the QueryEngine (built iff a quota is
 // configured), so the wire front end and in-process clients share one
-// admission decision — the same discipline as the cache and scheduler.
+// admission decision — the same discipline as the answer cache.
 // The tenant map is bounded: past `max_tenants` distinct names, new
 // tenants share one "(other)" bucket, so a peer inventing tenant names
 // cannot grow server memory (the same rule serve/server.h applies to

@@ -8,7 +8,6 @@
 #include "perturb/uniform_perturbation.h"
 #include "query/canonical.h"
 #include "serve/admission.h"
-#include "serve/micro_batcher.h"
 
 namespace recpriv::serve {
 
@@ -63,8 +62,6 @@ bool GroupMatches(const FlatGroupIndex& index, size_t gi,
   return true;
 }
 
-}  // namespace
-
 Status ValidateBatchForSnapshot(const ReleaseSnapshot& snap,
                                 const std::vector<CountQuery>& batch) {
   const auto& schema = *snap.bundle.data.schema();
@@ -88,6 +85,8 @@ Status ValidateBatchForSnapshot(const ReleaseSnapshot& snap,
   return Status::OK();
 }
 
+}  // namespace
+
 Answer EvaluateUncached(const ReleaseSnapshot& snap, const CountQuery& q) {
   // Fused scan: no match list is materialized and nothing is allocated.
   uint64_t observed = 0;
@@ -102,12 +101,6 @@ QueryEngine::QueryEngine(std::shared_ptr<ReleaseStore> store,
       options_(options),
       cache_(options.cache_capacity),
       pool_(options.num_threads) {
-  if (options_.micro_batch_window_us > 0) {
-    MicroBatcherOptions batcher_options;
-    batcher_options.window_us = options_.micro_batch_window_us;
-    batcher_options.max_batch_queries = options_.micro_batch_max_queries;
-    batcher_ = std::make_unique<MicroBatcher>(*this, batcher_options);
-  }
   if (options_.tenant_quota_qps > 0.0) {
     AdmissionOptions admission_options;
     admission_options.quota_qps = options_.tenant_quota_qps;
@@ -126,17 +119,18 @@ Result<BatchResult> QueryEngine::AnswerBatch(
 
 Result<BatchResult> QueryEngine::AnswerBatch(
     const std::string& release, SnapshotPtr snap_ptr,
-    const std::vector<CountQuery>& batch) {
+    const std::vector<CountQuery>& batch, const Deadline& deadline) {
+  // Shed before the pool: evaluating a batch nobody is waiting for would
+  // spend workers on dead work under exactly the overload that set the
+  // deadline off.
+  if (DeadlineExpired(deadline)) {
+    return Status::DeadlineExceeded(
+        "deadline passed before the batch reached the engine");
+  }
   if (snap_ptr == nullptr) {
     return Status::InvalidArgument("AnswerBatch: null snapshot");
   }
   RECPRIV_RETURN_NOT_OK(ValidateBatchForSnapshot(*snap_ptr, batch));
-  return AnswerValidatedBatch(release, std::move(snap_ptr), batch);
-}
-
-Result<BatchResult> QueryEngine::AnswerValidatedBatch(
-    const std::string& release, SnapshotPtr snap_ptr,
-    const std::vector<CountQuery>& batch) {
   const ReleaseSnapshot& snap = *snap_ptr;  // pinned for the whole batch
 
   BatchResult result;
@@ -181,18 +175,14 @@ Result<BatchResult> QueryEngine::AnswerValidatedBatch(
   result.cache_misses = batch.size() - result.cache_hits;
   if (miss.empty() && dups.empty()) return result;
 
-  EvalStrategy strategy = options_.strategy;
-  if (strategy == EvalStrategy::kAuto) {
-    // A posting pass costs ~(matched groups) per query; a group-shard pass
-    // costs one scan of all groups for the whole batch. Prefer the scan
-    // once the batch is a sizable fraction of the group count.
-    strategy = (miss.size() * 4 >= snap.index.num_groups())
-                   ? EvalStrategy::kGroupShard
-                   : EvalStrategy::kPostings;
-  }
-  result.strategy_used = strategy;
+  // A posting pass costs ~(matched groups) per query; a group-shard pass
+  // costs one scan of all groups for the whole batch. Prefer the scan once
+  // the batch is a sizable fraction of the group count.
+  result.strategy_used = miss.size() * 4 >= snap.index.num_groups()
+                             ? EvalStrategy::kGroupShard
+                             : EvalStrategy::kPostings;
 
-  if (strategy == EvalStrategy::kPostings) {
+  if (result.strategy_used == EvalStrategy::kPostings) {
     pool_.ParallelFor(
         0, miss.size(), pool_.GrainFor(miss.size()),
         [&](size_t lo, size_t hi) {
@@ -259,27 +249,6 @@ Result<BatchResult> QueryEngine::AnswerValidatedBatch(
     }
   }
   return result;
-}
-
-Result<BatchResult> QueryEngine::AnswerBatchScheduled(
-    const std::string& release, SnapshotPtr snap,
-    const std::vector<CountQuery>& batch, const Deadline& deadline) {
-  // Shed before the pool: evaluating a batch nobody is waiting for would
-  // spend workers on dead work under exactly the overload that set the
-  // deadline off.
-  if (DeadlineExpired(deadline)) {
-    return Status::DeadlineExceeded(
-        "deadline passed before the batch reached the engine");
-  }
-  if (batcher_ == nullptr || batch.empty()) {
-    return AnswerBatch(release, std::move(snap), batch);
-  }
-  return batcher_->Submit(release, std::move(snap), batch, deadline);
-}
-
-std::optional<client::SchedulerStats> QueryEngine::scheduler_stats() const {
-  if (batcher_ == nullptr) return std::nullopt;
-  return batcher_->Stats();
 }
 
 std::optional<client::TenantStats> QueryEngine::tenant_stats() const {

@@ -11,7 +11,8 @@
 // already-perturbed release — so the engine adds no privacy surface.
 //
 // Batches are evaluated in parallel on a work-stealing pool with one of two
-// strategies, chosen per batch:
+// strategies, chosen per batch by its uncached size against the release's
+// group count (shard-by-group once misses * 4 >= groups):
 //
 //  * per-query postings: each worker takes a slice of the batch and
 //    answers its queries by posting-list intersection with reused scratch
@@ -47,7 +48,6 @@
 namespace recpriv::serve {
 
 class AdmissionController;
-class MicroBatcher;
 
 /// Absolute point past which a batch should be shed instead of evaluated.
 /// nullopt = no deadline (the default everywhere).
@@ -59,9 +59,9 @@ inline bool DeadlineExpired(const Deadline& deadline) {
          std::chrono::steady_clock::now() >= *deadline;
 }
 
-/// How a batch's uncached queries are evaluated.
+/// How a batch's uncached queries were evaluated (a diagnostic: the engine
+/// picks per batch, see the file comment).
 enum class EvalStrategy {
-  kAuto,       ///< pick per batch: shard-by-group when batch >= groups/4
   kPostings,   ///< per-query posting-list intersection
   kGroupShard  ///< one pass over group shards, all queries at once
 };
@@ -69,14 +69,6 @@ enum class EvalStrategy {
 struct QueryEngineOptions {
   size_t num_threads = 0;       ///< 0 = hardware concurrency
   size_t cache_capacity = 1 << 16;  ///< LRU entries; 0 disables caching
-  EvalStrategy strategy = EvalStrategy::kAuto;
-  /// Micro-batching scheduler (serve/micro_batcher.h): same-snapshot
-  /// submissions arriving within this window are fused into one batch
-  /// evaluation. 0 disables the scheduler (AnswerBatchScheduled degrades
-  /// to AnswerBatch).
-  int micro_batch_window_us = 0;
-  /// A fused batch this large is evaluated without waiting out the window.
-  size_t micro_batch_max_queries = 1024;
   /// Per-tenant token-bucket admission (serve/admission.h): each tenant's
   /// bucket refills at this many queries per second. 0 disables admission
   /// (every batch is admitted and no "tenants" stats section exists).
@@ -122,29 +114,17 @@ class QueryEngine {
   /// wire front end) MUST evaluate against that same snapshot — fetching
   /// the release again could race a republish and evaluate old codes on a
   /// new dictionary. `release` must be the name `snap` is published under
-  /// (it scopes the cache keys).
+  /// (it scopes the cache keys). A batch whose `deadline` has already
+  /// passed is fast-failed with DeadlineExceeded before it can occupy the
+  /// pool.
   Result<BatchResult> AnswerBatch(
-      const std::string& release, SnapshotPtr snap,
-      const std::vector<recpriv::query::CountQuery>& batch);
-
-  /// Single-query convenience over AnswerBatch.
-  Result<Answer> AnswerOne(const std::string& release,
-                           const recpriv::query::CountQuery& q);
-
-  /// As AnswerBatch(release, snap, batch), but routed through the
-  /// micro-batching scheduler when one is configured
-  /// (micro_batch_window_us > 0): concurrent same-snapshot submissions are
-  /// fused into one evaluation and the answers split back, bit-identical
-  /// to the unbatched path. The serving front ends call this. A batch whose
-  /// `deadline` has already passed is fast-failed with DeadlineExceeded
-  /// before it can occupy the pool or join a fused batch.
-  Result<BatchResult> AnswerBatchScheduled(
       const std::string& release, SnapshotPtr snap,
       const std::vector<recpriv::query::CountQuery>& batch,
       const Deadline& deadline = std::nullopt);
 
-  /// Scheduler counters, or nullopt when micro-batching is disabled.
-  std::optional<client::SchedulerStats> scheduler_stats() const;
+  /// Single-query convenience over AnswerBatch.
+  Result<Answer> AnswerOne(const std::string& release,
+                           const recpriv::query::CountQuery& q);
 
   /// Per-tenant admission counters, or nullopt when no quota is configured.
   std::optional<client::TenantStats> tenant_stats() const;
@@ -158,30 +138,12 @@ class QueryEngine {
   ThreadPool& pool() { return pool_; }
 
  private:
-  friend class MicroBatcher;  ///< fused batches enter pre-validated
-
-  /// AnswerBatch minus the validation pass — for the micro-batcher, whose
-  /// riders were each validated before coalescing (one bad rider fails
-  /// alone; re-validating the merged batch would be pure repeat work).
-  Result<BatchResult> AnswerValidatedBatch(
-      const std::string& release, SnapshotPtr snap,
-      const std::vector<recpriv::query::CountQuery>& batch);
-
   std::shared_ptr<ReleaseStore> store_;
   QueryEngineOptions options_;
   AnswerCache cache_;
   ThreadPool pool_;
-  std::unique_ptr<MicroBatcher> batcher_;  ///< set iff window_us > 0
   std::unique_ptr<AdmissionController> admission_;  ///< set iff quota > 0
 };
-
-/// The schema/arity validation AnswerBatch applies to every batch, exposed
-/// so the micro-batcher can validate each submission BEFORE coalescing it
-/// (a submission's bad query must fail that submission, never the fused
-/// batch it would have joined).
-Status ValidateBatchForSnapshot(
-    const recpriv::analysis::ReleaseSnapshot& snap,
-    const std::vector<recpriv::query::CountQuery>& batch);
 
 /// Reference single-query evaluation against a snapshot (no cache, no
 /// pool): the behavior AnswerBatch must reproduce, exposed for tests and

@@ -93,20 +93,18 @@ Result<client::BatchAnswer> ExecuteQuery(QueryEngine& engine,
 
   // Evaluate against the same snapshot the codes were resolved with: a
   // republish between our Get and evaluation must not remap the codes.
-  // Routed through the micro-batching scheduler when one is configured, so
-  // concurrent same-snapshot requests fuse into one evaluation. The engine
-  // fast-fails the batch if the deadline passes before it reaches the
-  // pool; that shed is counted against the tenant.
-  Result<BatchResult> scheduled =
-      engine.AnswerBatchScheduled(request.release, snap, batch, deadline);
-  if (!scheduled.ok()) {
+  // The engine fast-fails the batch if the deadline passes before it
+  // reaches the pool; that shed is counted against the tenant.
+  Result<BatchResult> answered =
+      engine.AnswerBatch(request.release, snap, batch, deadline);
+  if (!answered.ok()) {
     if (admission != nullptr &&
-        scheduled.status().code() == StatusCode::kDeadlineExceeded) {
+        answered.status().code() == StatusCode::kDeadlineExceeded) {
       admission->CountShed(tenant);
     }
-    return scheduled.status();
+    return answered.status();
   }
-  BatchResult result = std::move(*scheduled);
+  BatchResult result = std::move(*answered);
   client::BatchAnswer out;
   out.release = request.release;
   out.epoch = result.epoch;
@@ -159,7 +157,6 @@ Result<client::ServerStats> CollectStats(QueryEngine& engine) {
     source.bytes_mapped = info.source_bytes_mapped;
     stats.store.push_back(std::move(source));
   }
-  stats.scheduler = engine.scheduler_stats();
   stats.tenants = engine.tenant_stats();
   return stats;
 }

@@ -126,9 +126,6 @@ JsonValue EncodeStatsPayload(const client::ServerStats& stats) {
   out.Set("threads", JsonValue::Uint(uint64_t(stats.threads)));
   out.Set("cache", std::move(cache));
   out.Set("releases", std::move(releases));
-  if (stats.scheduler.has_value()) {
-    out.Set("scheduler", wire::EncodeSchedulerStats(*stats.scheduler));
-  }
   if (stats.transport.has_value()) {
     const client::TransportStats& t = *stats.transport;
     JsonValue ops = JsonValue::Object();
@@ -156,7 +153,7 @@ JsonValue EncodeStatsPayload(const client::ServerStats& stats) {
     out.Set("transport", std::move(transport));
   }
   if (stats.tenants.has_value()) {
-    // Absent when quotas are disabled, like "scheduler"/"transport", so
+    // Absent when quotas are disabled, like "transport", so
     // golden transcripts of quota-less servers are unchanged.
     out.Set("tenants", wire::EncodeTenantStats(*stats.tenants));
   }
@@ -627,21 +624,6 @@ Result<std::vector<client::ReleaseDescriptor>> DecodeDescriptorArray(
 
 }  // namespace
 
-JsonValue EncodeSchedulerStats(const client::SchedulerStats& stats) {
-  JsonValue out = JsonValue::Object();
-  out.Set("window_us", JsonValue::Uint(uint64_t(stats.window_us)));
-  out.Set("submissions", JsonValue::Uint(uint64_t(stats.submissions)));
-  out.Set("coalesced_submissions",
-          JsonValue::Uint(uint64_t(stats.coalesced_submissions)));
-  out.Set("batches", JsonValue::Uint(uint64_t(stats.batches)));
-  out.Set("batched_queries", JsonValue::Uint(uint64_t(stats.batched_queries)));
-  out.Set("max_batch_queries",
-          JsonValue::Uint(uint64_t(stats.max_batch_queries)));
-  out.Set("max_batch_submissions",
-          JsonValue::Uint(uint64_t(stats.max_batch_submissions)));
-  return out;
-}
-
 JsonValue EncodeTenantStats(const client::TenantStats& stats) {
   JsonValue by_tenant = JsonValue::Object();
   for (const auto& [name, c] : stats.tenants) {
@@ -860,27 +842,6 @@ Result<client::ServerStats> DecodeStatsResponse(const JsonValue& response) {
   stats.cache = client::CacheStats{size, capacity, hits, misses};
   RECPRIV_ASSIGN_OR_RETURN(stats.releases,
                            DecodeDescriptorArray(response, "releases"));
-  if (response.Has("scheduler")) {
-    RECPRIV_ASSIGN_OR_RETURN(const JsonValue* node,
-                             RequireField(response, "scheduler"));
-    if (!node->is_object()) {
-      return Status::InvalidArgument("'scheduler' must be an object");
-    }
-    client::SchedulerStats s;
-    RECPRIV_ASSIGN_OR_RETURN(s.window_us, RequireUint64(*node, "window_us"));
-    RECPRIV_ASSIGN_OR_RETURN(s.submissions,
-                             RequireUint64(*node, "submissions"));
-    RECPRIV_ASSIGN_OR_RETURN(s.coalesced_submissions,
-                             RequireUint64(*node, "coalesced_submissions"));
-    RECPRIV_ASSIGN_OR_RETURN(s.batches, RequireUint64(*node, "batches"));
-    RECPRIV_ASSIGN_OR_RETURN(s.batched_queries,
-                             RequireUint64(*node, "batched_queries"));
-    RECPRIV_ASSIGN_OR_RETURN(s.max_batch_queries,
-                             RequireUint64(*node, "max_batch_queries"));
-    RECPRIV_ASSIGN_OR_RETURN(s.max_batch_submissions,
-                             RequireUint64(*node, "max_batch_submissions"));
-    stats.scheduler = s;
-  }
   if (response.Has("transport")) {
     RECPRIV_ASSIGN_OR_RETURN(const JsonValue* node,
                              RequireField(response, "transport"));

@@ -213,13 +213,9 @@ size_t ServeLines(std::istream& in, std::ostream& out, QueryEngine& engine,
 // caller would.
 namespace wire {
 
-/// The "scheduler" section of the stats payload. Exposed because tools
-/// that report the same struct outside the protocol (recpriv_workload's
-/// report JSON) must stay field-for-field identical to the wire shape.
-JsonValue EncodeSchedulerStats(const client::SchedulerStats& stats);
-
-/// The "tenants" section of the stats payload (same contract as
-/// EncodeSchedulerStats: the report JSON and the wire share one shape).
+/// The "tenants" section of the stats payload. Exposed because tools that
+/// report the same struct outside the protocol (recpriv_workload's report
+/// JSON) must stay field-for-field identical to the wire shape.
 JsonValue EncodeTenantStats(const client::TenantStats& stats);
 
 /// The "replication" section of the stats payload (same shape contract;

@@ -424,7 +424,6 @@ Result<DriverReport> RunWorkload(const GeneratedWorkload& workload,
         double(report.requests) / report.elapsed_seconds;
     report.queries_per_second = double(report.queries) / report.elapsed_seconds;
   }
-  report.scheduler = engine->scheduler_stats();
   report.tenants = engine->tenant_stats();
   return report;
 }

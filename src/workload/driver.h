@@ -2,10 +2,9 @@
 // stack and verifies every successful answer against the Oracle.
 //
 // The driver hosts the stack itself — ReleaseStore + QueryEngine (with
-// whatever QueryEngineOptions the caller wants to exercise, including the
-// micro-batching scheduler), and optionally a real TCP Server — then runs
-// one thread per reader stream plus a writer thread for the churn stream.
-// Reader threads talk through the public client::Client interface
+// whatever QueryEngineOptions the caller wants to exercise), and optionally
+// a real TCP Server — then runs one thread per reader stream plus a writer
+// thread for the churn stream. Reader threads talk through the public client::Client interface
 // (InProcessClient, or LineProtocolClient over loopback TCP when
 // options.over_tcp), so a scenario exercises exactly the code path a real
 // consumer uses. Writer ops go through the store directly: publishing
@@ -41,8 +40,8 @@
 namespace recpriv::workload {
 
 struct DriverOptions {
-  /// Engine under test (threads, cache, micro_batch_window_us, ...;
-  /// tenant_quota_qps > 0 turns on per-tenant admission).
+  /// Engine under test (threads, cache; tenant_quota_qps > 0 turns on
+  /// per-tenant admission).
   serve::QueryEngineOptions engine;
   size_t retained_epochs = serve::ReleaseStore::kDefaultRetainedEpochs;
   /// Verify every successful answer against the oracle (bit-exact).
@@ -106,8 +105,6 @@ struct DriverReport {
   double elapsed_seconds = 0.0;
   double requests_per_second = 0.0;
   double queries_per_second = 0.0;
-  /// Scheduler counters when the engine ran with micro-batching.
-  std::optional<recpriv::client::SchedulerStats> scheduler;
   /// Server-side admission counters when the engine ran with quotas.
   std::optional<recpriv::client::TenantStats> tenants;
   /// Client-observed latency per tenant id ("" = the default tenant),

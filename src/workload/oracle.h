@@ -6,8 +6,8 @@
 // the request's string-level QuerySpecs against that snapshot's schema,
 // and recompute each answer with the engine's reference evaluator
 // (serve::EvaluateUncached). The comparison is BIT-exact on (observed,
-// matched_size, estimate) — serving, transport, caching, and the
-// micro-batching scheduler must all be answer-preserving, and any
+// matched_size, estimate) — serving, transport, caching, and admission
+// must all be answer-preserving, and any
 // divergence under concurrency or churn is a mismatch, not noise.
 //
 // Publish never reuses an epoch per name (serve/release_store.h), so

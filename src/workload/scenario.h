@@ -101,7 +101,7 @@ std::vector<std::string> BuiltinScenarioNames();
 ///   hot_release_zipf    Zipf-skewed values, traffic concentrated on one
 ///                       hot release across four tenants
 ///   burst_same_release  many clients bursting broad queries at one
-///                       release (the micro-batching showcase)
+///                       release
 ///   republish_churn     readers (half pinned) racing a writer that
 ///                       republishes and drops releases
 ///   pin_heavy           every reader pins its first-seen epoch under

@@ -1,10 +1,10 @@
 // Multi-tenant QoS and overload robustness: per-tenant token-bucket
 // admission (serve/admission.h), deadline propagation and shedding
-// through the engine and micro-batcher, the RESOURCE_EXHAUSTED /
-// DEADLINE_EXCEEDED taxonomy identical across both client backends,
-// the "tenants" stats section over the wire, the retry/backoff layer
-// (client/retry.h), fault-injected transports recovering answer-clean
-// under retry, and the workload scenario QoS block's JSON contract.
+// through the engine, the RESOURCE_EXHAUSTED / DEADLINE_EXCEEDED taxonomy
+// identical across both client backends, the "tenants" stats section
+// over the wire, the retry/backoff layer (client/retry.h), fault-injected
+// transports recovering answer-clean under retry, and the workload
+// scenario QoS block's JSON contract.
 
 #include <gtest/gtest.h>
 
@@ -174,7 +174,7 @@ TEST(AdmissionTest, CountShedIsTracked) {
   EXPECT_EQ(ctl.Stats().tenants.at("t").shed, 2u);
 }
 
-// --- deadlines: expiry semantics, shedding, micro-batcher ------------------
+// --- deadlines: expiry semantics and shedding -------------------------------
 
 TEST(DeadlineTest, ExpiryIsAbsentPastOrFuture) {
   using recpriv::serve::Deadline;
@@ -223,31 +223,6 @@ TEST(DeadlineTest, GenerousBudgetAnswersNormally) {
   ASSERT_TRUE(without.ok());
   EXPECT_EQ(with->answers[0].observed, without->answers[0].observed);
   EXPECT_DOUBLE_EQ(with->answers[0].estimate, without->answers[0].estimate);
-}
-
-TEST(DeadlineTest, MicroBatcherShedsExpiredAndServesLiveRiders) {
-  // Same contract with the scheduler underneath: an expired rider is shed
-  // before it can join a fused batch; a live one answers bit-identically
-  // to the unbatched path.
-  QueryEngineOptions batched;
-  batched.micro_batch_window_us = 200;
-  Backends b = MakeBackends(batched);
-  QueryRequest req = SimpleRequest();
-
-  req.deadline_ms = 0;
-  auto shed = b.embedded->Query(req);
-  ASSERT_FALSE(shed.ok());
-  EXPECT_EQ(shed.status().code(), StatusCode::kDeadlineExceeded);
-
-  req.deadline_ms = 60000;
-  auto live = b.embedded->Query(req);
-  ASSERT_TRUE(live.ok()) << live.status();
-
-  Backends plain = MakeBackends();
-  auto oracle = plain.embedded->Query(SimpleRequest());
-  ASSERT_TRUE(oracle.ok());
-  EXPECT_EQ(live->answers[0].observed, oracle->answers[0].observed);
-  EXPECT_DOUBLE_EQ(live->answers[0].estimate, oracle->answers[0].estimate);
 }
 
 // --- quotas through the full client surface ---------------------------------

@@ -560,7 +560,9 @@ TEST(ReplicatorTest, ConvergesCleanUnderInjectedFaults) {
 
   const std::string dir = TempDir("faulted");
   ReplicatorOptions repl_options;
-  repl_options.chunk_bytes = 8192;  // many chunk round trips per epoch
+  // ~35 chunk round trips per epoch: at 8 KiB a demo image is ~3 writes,
+  // and some seeds' fault schedules never fire within so few.
+  repl_options.chunk_bytes = 512;
   repl_options.retry.initial_backoff_ms = 1;
   repl_options.retry.max_backoff_ms = 20;
   repl_options.fault_injector =

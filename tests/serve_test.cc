@@ -1,12 +1,13 @@
 // Tests for the release-serving subsystem: thread pool, canonical query
 // encoding, LRU answer cache, ReleaseStore copy-on-publish snapshots, the
-// parallel batched QueryEngine (both evaluation strategies), cache
+// parallel batched QueryEngine (both evaluation paths), cache
 // invalidation on republish, a concurrent reader/republisher stress test,
 // and the line-delimited JSON wire protocol.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <sstream>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "core/sps.h"
 #include "core/streaming.h"
+#include "datagen/census.h"
 #include "datagen/simple.h"
 #include "perturb/mle.h"
 #include "query/canonical.h"
@@ -79,17 +81,21 @@ Served MakeServed(QueryEngineOptions options = {}) {
   return s;
 }
 
-/// All (d<=2, sa) conjunctive queries over the simple schema: 3*3 NA
-/// choices (eng, law, *) x (north, south, *) x 3 SA values = 27 queries.
+/// All (d<=2, sa) conjunctive queries over the first two (public)
+/// attributes: each is bound to one of its values or left open, crossed
+/// with every SA value. On the simple schema that is (eng, law, *) x
+/// (north, south, *) x 3 SA values = 27 queries.
 std::vector<CountQuery> AllQueries(const Table& t) {
   std::vector<CountQuery> out;
   const auto& schema = *t.schema();
-  for (int job = -1; job < 2; ++job) {
-    for (int city = -1; city < 2; ++city) {
-      for (uint32_t sa = 0; sa < 3; ++sa) {
+  const int values0 = int(schema.attribute(0).domain.size());
+  const int values1 = int(schema.attribute(1).domain.size());
+  for (int v0 = -1; v0 < values0; ++v0) {
+    for (int v1 = -1; v1 < values1; ++v1) {
+      for (uint32_t sa = 0; sa < schema.sa_domain_size(); ++sa) {
         CountQuery q(schema.num_attributes());
-        if (job >= 0) q.na_predicate.Bind(0, uint32_t(job));
-        if (city >= 0) q.na_predicate.Bind(1, uint32_t(city));
+        if (v0 >= 0) q.na_predicate.Bind(0, uint32_t(v0));
+        if (v1 >= 0) q.na_predicate.Bind(1, uint32_t(v1));
         q.sa_code = sa;
         q.dimensionality = q.na_predicate.num_bound();
         out.push_back(q);
@@ -134,6 +140,31 @@ TEST(ThreadPoolTest, SubmitAndWaitDrainsAllTasks) {
 TEST(ThreadPoolTest, EmptyRangeIsANoop) {
   ThreadPool pool(2);
   pool.ParallelFor(5, 5, 1, [](size_t, size_t) { FAIL(); });
+}
+
+TEST(ThreadPoolTest, ExternalCallerCompletesWithEveryWorkerBlocked) {
+  // A non-pool caller drains its own chunks (common/thread_pool.cc), so
+  // ParallelFor completes even when no worker is free to help. Without
+  // caller participation this test hangs and ctest's TIMEOUT fails it.
+  ThreadPool pool(2);
+  std::latch all_blocked(std::ptrdiff_t(pool.num_threads()));
+  std::latch release(1);
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    pool.Submit([&] {
+      all_blocked.count_down();
+      release.wait();
+    });
+  }
+  all_blocked.wait();
+
+  std::vector<std::atomic<int>> touched(64);
+  pool.ParallelFor(0, touched.size(), 4, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) touched[i]++;
+  });
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+
+  release.count_down();
+  pool.Wait();
 }
 
 TEST(ThreadPoolTest, GrainForBalancesChunks) {
@@ -293,27 +324,48 @@ TEST(ReleaseStoreTest, PublishFromStreamingRepublishes) {
 // --- QueryEngine -----------------------------------------------------------
 
 TEST(QueryEngineTest, BatchMatchesSingleQueryReference) {
-  for (EvalStrategy strategy :
-       {EvalStrategy::kPostings, EvalStrategy::kGroupShard}) {
-    QueryEngineOptions options;
-    options.num_threads = 4;
-    options.strategy = strategy;
-    options.cache_capacity = 0;  // isolate the evaluation paths
-    Served s = MakeServed(options);
-    auto snap = *s.store->Get("simple");
+  // The engine picks the evaluation path by batch size against the group
+  // count, so a release with thousands of groups covers both: a 1-query
+  // batch takes postings, the full AllQueries batch takes the group shard.
+  // (The 4-group simple release would take the shard for any batch.)
+  Rng rng(2015);
+  Table raw = *recpriv::datagen::GenerateCensus({.num_records = 3000}, rng);
+  const size_t m = raw.schema()->sa_domain_size();
+  auto sps = *recpriv::core::SpsPerturbTable(Params(m), raw, rng);
+  auto store = std::make_shared<ReleaseStore>();
+  auto snap = *store->Publish("census", ReleaseBundle{std::move(sps.table),
+                                                      Params(m), "Occupation",
+                                                      {}});
+  ASSERT_GT(snap->index.num_groups(), 1000u);
 
-    std::vector<CountQuery> batch = AllQueries(snap->bundle.data);
-    auto result = s.engine->AnswerBatch("simple", batch);
-    ASSERT_TRUE(result.ok());
-    ASSERT_EQ(result->answers.size(), batch.size());
-    EXPECT_EQ(result->strategy_used, strategy);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const Answer ref = EvaluateUncached(*snap, batch[i]);
-      EXPECT_EQ(result->answers[i].observed, ref.observed) << "query " << i;
-      EXPECT_EQ(result->answers[i].matched_size, ref.matched_size);
-      EXPECT_DOUBLE_EQ(result->answers[i].estimate, ref.estimate);
-      EXPECT_FALSE(result->answers[i].cached);
-    }
+  QueryEngineOptions options;
+  options.num_threads = 4;
+  options.cache_capacity = 0;  // isolate the evaluation paths
+  QueryEngine engine(store, options);
+  auto expect_reference = [&](const Answer& got, const CountQuery& q) {
+    const Answer ref = EvaluateUncached(*snap, q);
+    EXPECT_EQ(got.observed, ref.observed);
+    EXPECT_EQ(got.matched_size, ref.matched_size);
+    EXPECT_DOUBLE_EQ(got.estimate, ref.estimate);
+    EXPECT_FALSE(got.cached);
+  };
+
+  std::vector<CountQuery> batch = AllQueries(snap->bundle.data);
+  auto result = engine.AnswerBatch("census", batch);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->answers.size(), batch.size());
+  EXPECT_EQ(result->strategy_used, EvalStrategy::kGroupShard);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    expect_reference(result->answers[i], batch[i]);
+  }
+
+  for (size_t i = 0; i < batch.size(); i += 37) {
+    SCOPED_TRACE("single query " + std::to_string(i));
+    auto single = engine.AnswerBatch("census", {batch[i]});
+    ASSERT_TRUE(single.ok()) << single.status();
+    EXPECT_EQ(single->strategy_used, EvalStrategy::kPostings);
+    expect_reference(single->answers[0], batch[i]);
   }
 }
 

@@ -2,8 +2,8 @@
 // JSON, generation is a pure function of the spec (byte-identical streams
 // and record files), record/replay reproduces the exact op streams, and
 // the driver runs every builtin shape answer-clean — zero oracle
-// mismatches — in-process, over TCP, and with the micro-batching scheduler
-// underneath, with churn surfacing only the legal error taxonomy.
+// mismatches — in-process and over TCP, with churn surfacing only the legal
+// error taxonomy.
 
 #include <gtest/gtest.h>
 
@@ -267,24 +267,17 @@ TEST(WorkloadDriverTest, TcpDriverRunsAnswerClean) {
   EXPECT_EQ(report->verified, report->requests);
 }
 
-TEST(WorkloadDriverTest, MicroBatchedDriverIsCleanAndCoalesces) {
+TEST(WorkloadDriverTest, BurstSameReleaseDriverRunsAnswerClean) {
   auto spec = BuiltinScenario("burst_same_release", 29);
   ASSERT_TRUE(spec.ok());
   spec->ops_per_client = 30;
   DriverOptions options;
   options.engine.num_threads = 2;
-  options.engine.micro_batch_window_us = 200;
   auto report = RunScenario(*spec, options);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->mismatches, 0u);
   EXPECT_EQ(report->hard_failures, 0u);
-  ASSERT_TRUE(report->scheduler.has_value());
-  EXPECT_EQ(report->scheduler->window_us, 200u);
-  EXPECT_GT(report->scheduler->submissions, 0u);
-  // A burst profile must actually fuse: fewer engine batches than
-  // submissions (coalescing > 0 would flake only on a pathologically
-  // loaded machine; batches < submissions is the same fact, robustly).
-  EXPECT_LT(report->scheduler->batches, report->scheduler->submissions);
+  EXPECT_EQ(report->verified, report->requests);
 }
 
 }  // namespace

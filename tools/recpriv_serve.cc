@@ -64,10 +64,6 @@ options:
                       startup, recover the retained-epoch window from DIR;
                       a server restarted with the same DIR serves the same
                       releases without re-parsing any CSV
-  --batch-window-us N micro-batch scheduler: fuse same-snapshot queries
-                      arriving within N microseconds into one evaluation
-                      (stats op reports a "scheduler" section) [default 0:
-                      disabled]
   --quota-qps X       per-tenant admission quota in queries/second (token
                       bucket, keyed by the request's "tenant" field; the
                       stats op reports a "tenants" section). Over-quota
@@ -127,7 +123,7 @@ int Run(int argc, char** argv) {
   const std::set<std::string> known = {
       "release", "name", "threads",   "cache",           "retain", "demo",
       "help",    "host", "port",      "max-conns",       "idle-timeout-ms",
-      "batch-window-us",  "snapshot-dir",  "quota-qps",  "quota-burst",
+      "snapshot-dir",  "quota-qps",  "quota-burst",
       "follow",  "follow-faults",  "follow-fault-seed"};
   for (const auto& name : flags.FlagNames()) {
     if (!known.count(name)) {
@@ -145,23 +141,15 @@ int Run(int argc, char** argv) {
   auto cache = flags.GetInt("cache", int64_t(options.cache_capacity));
   auto retain =
       flags.GetInt("retain", int64_t(serve::ReleaseStore::kDefaultRetainedEpochs));
-  auto batch_window = flags.GetInt("batch-window-us", 0);
   if (!threads.ok()) return Fail(threads.status());
   if (!cache.ok()) return Fail(cache.status());
   if (!retain.ok()) return Fail(retain.status());
-  if (!batch_window.ok()) return Fail(batch_window.status());
-  // The window caps at 10s: far beyond any sane coalescing window, and
-  // safely inside int range (a silent int narrowing could wrap a huge
-  // value to 0 and turn batching OFF while the operator believes it's on).
-  if (*threads < 0 || *cache < 0 || *retain < 1 || *batch_window < 0 ||
-      *batch_window > 10000000) {
+  if (*threads < 0 || *cache < 0 || *retain < 1) {
     return Fail(Status::InvalidArgument(
-        "--threads/--cache must be >= 0, --retain >= 1, and "
-        "--batch-window-us in [0, 10000000]"));
+        "--threads/--cache must be >= 0 and --retain >= 1"));
   }
   options.num_threads = size_t(*threads);
   options.cache_capacity = size_t(*cache);
-  options.micro_batch_window_us = int(*batch_window);
 
   auto quota_qps = flags.GetDouble("quota-qps", 0.0);
   auto quota_burst = flags.GetDouble("quota-burst", 0.0);

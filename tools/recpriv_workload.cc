@@ -2,10 +2,9 @@
 // (builtin profile or JSON file) into seeded per-client op streams, drives
 // them against a live serving stack (in-process clients or a real loopback
 // TCP server), verifies every answer against the oracle, and reports
-// throughput, the error-code histogram, and the micro-batching scheduler's
-// counters.
+// throughput and the error-code histogram.
 //
-//   recpriv_workload --profile burst_same_release --batch-window-us 200
+//   recpriv_workload --profile burst_same_release
 //   recpriv_workload --profile republish_churn --tcp --record run.jsonl
 //   recpriv_workload --replay run.jsonl
 //   recpriv_workload --print-profile steady_uniform > my_scenario.json
@@ -42,7 +41,6 @@ options:
   --threads N           engine worker threads                [default: cores]
   --cache N             answer-cache capacity                [default 65536]
   --retain N            retained epochs per release          [default 4]
-  --batch-window-us N   micro-batch scheduler window; 0 = off [default 0]
   --snapshot-dir DIR    run against a persistent snapshot store: recover
                         any .rps snapshots in DIR first, persist every
                         publish there (the recpriv_serve restart path)
@@ -97,12 +95,9 @@ JsonValue ReportToJson(const workload::DriverReport& report) {
   out.Set("requests_per_second",
           JsonValue::Number(report.requests_per_second));
   out.Set("queries_per_second", JsonValue::Number(report.queries_per_second));
-  if (report.scheduler.has_value()) {
+  if (report.tenants.has_value()) {
     // The wire codec's encoder, so the report section and the protocol's
     // stats section can never drift apart.
-    out.Set("scheduler", serve::wire::EncodeSchedulerStats(*report.scheduler));
-  }
-  if (report.tenants.has_value()) {
     out.Set("tenants", serve::wire::EncodeTenantStats(*report.tenants));
   }
   if (!report.tenant_latency.empty()) {
@@ -167,16 +162,6 @@ void PrintReport(const workload::DriverReport& report) {
   for (const std::string& detail : report.mismatch_details) {
     std::cout << "mismatch: " << detail << "\n";
   }
-  if (report.scheduler.has_value()) {
-    const client::SchedulerStats& s = *report.scheduler;
-    const double avg =
-        s.batches > 0 ? double(s.batched_queries) / double(s.batches) : 0.0;
-    std::cout << "scheduler (window " << s.window_us << "us): " << s.batches
-              << " fused batches, " << s.batched_queries << " queries ("
-              << FormatDouble(avg, 2) << " avg/batch, max "
-              << s.max_batch_queries << "), coalesced submissions: "
-              << s.coalesced_submissions << "/" << s.submissions << "\n";
-  }
   for (const auto& [tenant, lat] : report.tenant_latency) {
     std::cout << "tenant '" << (tenant.empty() ? "(default)" : tenant)
               << "': " << lat.requests << " requests (" << lat.errors
@@ -222,7 +207,7 @@ int Run(int argc, char** argv) {
   const std::set<std::string> known = {
       "profile", "scenario", "replay",  "print-profile", "list-profiles",
       "seed",    "tcp",      "verify",  "record",        "threads",
-      "cache",   "retain",   "batch-window-us",          "json",
+      "cache",   "retain",   "json",
       "snapshot-dir",        "quota-qps",   "quota-burst",
       "deadline-ms",         "faults",      "fault-seed",
       "retry",   "max-retries",             "help",
@@ -268,26 +253,19 @@ int Run(int argc, char** argv) {
   auto threads = flags.GetInt("threads", 0);
   auto cache = flags.GetInt("cache", int64_t(options.engine.cache_capacity));
   auto retain = flags.GetInt("retain", int64_t(options.retained_epochs));
-  auto window = flags.GetInt("batch-window-us", 0);
   auto verify = flags.GetBool("verify", true);
   auto tcp = flags.GetBool("tcp", false);
   if (!threads.ok()) return Fail(threads.status());
   if (!cache.ok()) return Fail(cache.status());
   if (!retain.ok()) return Fail(retain.status());
-  if (!window.ok()) return Fail(window.status());
   if (!verify.ok()) return Fail(verify.status());
   if (!tcp.ok()) return Fail(tcp.status());
-  // 10s window cap: matches recpriv_serve, and keeps the int narrowing
-  // below from wrapping a huge value into "batching silently off".
-  if (*threads < 0 || *cache < 0 || *retain < 1 || *window < 0 ||
-      *window > 10000000) {
+  if (*threads < 0 || *cache < 0 || *retain < 1) {
     return Fail(Status::InvalidArgument(
-        "--threads/--cache must be >= 0, --retain >= 1, and "
-        "--batch-window-us in [0, 10000000]"));
+        "--threads/--cache must be >= 0 and --retain >= 1"));
   }
   options.engine.num_threads = size_t(*threads);
   options.engine.cache_capacity = size_t(*cache);
-  options.engine.micro_batch_window_us = int(*window);
   options.retained_epochs = size_t(*retain);
   options.verify = *verify;
   options.over_tcp = *tcp;
@@ -366,11 +344,7 @@ int Run(int argc, char** argv) {
     std::cout << "running '" << spec->name << "': " << spec->clients
               << " clients x " << spec->ops_per_client << " ops, "
               << spec->releases.size() << " release(s)"
-              << (options.over_tcp ? ", over TCP" : ", in-process")
-              << (options.engine.micro_batch_window_us > 0
-                      ? ", micro-batching on"
-                      : "")
-              << "\n";
+              << (options.over_tcp ? ", over TCP" : ", in-process") << "\n";
     report = workload::RunScenario(*spec, options, flags.GetString("record"));
   }
   if (!report.ok()) return Fail(report.status());
