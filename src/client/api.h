@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -46,6 +47,11 @@ enum class ErrorCode {
   kResourceExhausted,  ///< kResourceExhausted: tenant over quota; retry later
   kDeadlineExceeded,   ///< kDeadlineExceeded: deadline passed; shed unserved
 };
+
+/// Number of ErrorCode values (the last enumerator above plus one), for
+/// arrays indexed by code.
+inline constexpr size_t kNumErrorCodes =
+    size_t(ErrorCode::kDeadlineExceeded) + 1;
 
 /// Stable wire name of a code, e.g. "STALE_EPOCH".
 std::string_view ErrorCodeName(ErrorCode code);

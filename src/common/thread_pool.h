@@ -12,6 +12,9 @@
 // grain-sized chunks, runs them on the pool, and blocks the caller until
 // every chunk finished. A single-threaded pool (or a range no larger than
 // one grain) runs inline, so callers need no special small-input path.
+// A task of the pool that calls ParallelFor on the same pool also runs it
+// inline, so it gets no extra parallelism: code that should fan out (a
+// served query batch) must run on a thread outside the pool.
 
 #pragma once
 

@@ -36,6 +36,13 @@ uint32_t DecodeU32Le(const char* p) {
          (uint32_t(b[3]) << 24);
 }
 
+/// A ReadFrame outcome that carries no frame (oversized, EOF, timeout).
+FrameResult NoFrame(ReadEvent event) {
+  FrameResult result;
+  result.event = event;
+  return result;
+}
+
 void AppendU32Le(std::string& out, uint32_t v) {
   out.push_back(char(v & 0xff));
   out.push_back(char((v >> 8) & 0xff));
@@ -154,7 +161,7 @@ Result<FrameResult> LineChannel::ReadFrame(int timeout_ms) {
       buffer_.erase(0, drop);
       scan_from_ = 0;
       frame_discard_ -= drop;
-      if (frame_discard_ == 0) return FrameResult{ReadEvent::kOversized};
+      if (frame_discard_ == 0) return NoFrame(ReadEvent::kOversized);
     } else if (buffer_.size() >= kFrameHeaderBytes) {
       const size_t len = DecodeU32Le(buffer_.data());
       const uint8_t type = uint8_t(buffer_[4]);
@@ -195,7 +202,7 @@ Result<FrameResult> LineChannel::ReadFrame(int timeout_ms) {
     if (saw_eof_) {
       // A partial frame at EOF is dropped: unlike an unterminated final
       // line, a length-prefixed frame is all-or-nothing by construction.
-      return FrameResult{ReadEvent::kEof};
+      return NoFrame(ReadEvent::kEof);
     }
 
     const int remaining = RemainingMs(bounded, deadline);
@@ -208,7 +215,7 @@ Result<FrameResult> LineChannel::ReadFrame(int timeout_ms) {
       if (errno == EINTR) continue;
       return ErrnoStatus("poll", errno);
     }
-    if (prc == 0) return FrameResult{ReadEvent::kTimeout};
+    if (prc == 0) return NoFrame(ReadEvent::kTimeout);
 
     const ssize_t n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
     if (n < 0) {

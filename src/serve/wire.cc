@@ -546,10 +546,9 @@ std::string ErrorResponseLine(ErrorCode code, const std::string& message) {
       .ToString();
 }
 
-bool IsKnownOp(const std::string& op) {
-  return op == "query" || op == "list" || op == "stats" || op == "schema" ||
-         op == "publish" || op == "drop" || op == "hello" ||
-         op == "subscribe" || op == "fetch_snapshot";
+size_t KnownOpIndex(std::string_view op) {
+  return size_t(std::find(kKnownOps.begin(), kKnownOps.end(), op) -
+                kKnownOps.begin());
 }
 
 size_t ServeLines(std::istream& in, std::ostream& out, QueryEngine& engine) {

@@ -97,11 +97,13 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "client/api.h"
@@ -191,10 +193,16 @@ std::string HandleRequestLine(const std::string& line, QueryEngine& engine,
 std::string ErrorResponseLine(client::ErrorCode code,
                               const std::string& message);
 
-/// True for op names the dispatcher implements. Front ends keying metrics
-/// by op name MUST bucket unknown names through this, or a peer sending
-/// distinct made-up ops grows the metric map without bound.
-bool IsKnownOp(const std::string& op);
+/// The op names the dispatcher implements, in a fixed order.
+inline constexpr std::array<std::string_view, 9> kKnownOps = {
+    "query", "list", "stats", "schema", "publish",
+    "drop", "hello", "subscribe", "fetch_snapshot"};
+
+/// Index of `op` in kKnownOps, or kKnownOps.size() for any other name.
+/// Front ends keying metrics by op name MUST bucket unknown names through
+/// this, or a peer sending distinct made-up ops grows the metrics without
+/// bound.
+size_t KnownOpIndex(std::string_view op);
 
 /// Reads request lines from `in` until EOF, writing one response line per
 /// request to `out` (blank lines are skipped). Returns the number of

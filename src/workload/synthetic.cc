@@ -17,13 +17,18 @@ using recpriv::table::Schema;
 using recpriv::table::SchemaPtr;
 using recpriv::table::Table;
 
-std::string AttributeName(size_t k) { return "A" + std::to_string(k); }
-
-std::string AttributeValue(size_t k, size_t v) {
-  return "a" + std::to_string(k) + "_" + std::to_string(v);
+/// `prefix` followed by the decimal `n`.
+std::string Numbered(std::string prefix, size_t n) {
+  return prefix += std::to_string(n);
 }
 
-std::string SensitiveValue(size_t v) { return "s" + std::to_string(v); }
+std::string AttributeName(size_t k) { return Numbered("A", k); }
+
+std::string AttributeValue(size_t k, size_t v) {
+  return Numbered(Numbered("a", k) + "_", v);
+}
+
+std::string SensitiveValue(size_t v) { return Numbered("s", v); }
 
 std::vector<double> ZipfWeights(size_t n, double s) {
   std::vector<double> w(n, 1.0);

@@ -24,9 +24,12 @@
 
 #include "common/random.h"
 #include "table/group_order.h"
+#include "testing_util.h"
 
 namespace recpriv::table {
 namespace {
+
+using recpriv::testing::Numbered;
 
 using recpriv::Rng;
 
@@ -36,12 +39,12 @@ SchemaPtr MakeSchema(const std::vector<size_t>& public_domains,
   for (size_t a = 0; a < public_domains.size(); ++a) {
     Dictionary d;
     for (size_t v = 0; v < public_domains[a]; ++v) {
-      d.GetOrAdd("a" + std::to_string(a) + "v" + std::to_string(v));
+      d.GetOrAdd(Numbered(Numbered("a", a) + "v", v));
     }
-    attrs.push_back(Attribute{"A" + std::to_string(a), std::move(d)});
+    attrs.push_back(Attribute{Numbered("A", a), std::move(d)});
   }
   Dictionary sa;
-  for (size_t v = 0; v < sa_domain; ++v) sa.GetOrAdd("s" + std::to_string(v));
+  for (size_t v = 0; v < sa_domain; ++v) sa.GetOrAdd(Numbered("s", v));
   attrs.push_back(Attribute{"SA", std::move(sa)});
   const size_t sa_index = attrs.size() - 1;
   return std::make_shared<Schema>(*Schema::Make(std::move(attrs), sa_index));

@@ -21,9 +21,12 @@
 #include "store/snapshot_writer.h"
 #include "table/flat_group_index.h"
 #include "workload/synthetic.h"
+#include "testing_util.h"
 
 namespace recpriv::core {
 namespace {
+
+using recpriv::testing::Numbered;
 
 namespace fs = std::filesystem;
 
@@ -37,7 +40,7 @@ using recpriv::table::Table;
 SchemaPtr MakeSchema(size_t pub_domain = 4) {
   std::vector<std::string> vals;
   for (size_t v = 0; v < pub_domain; ++v) {
-    vals.push_back("p" + std::to_string(v));
+    vals.push_back(Numbered("p", v));
   }
   std::vector<Attribute> attrs;
   attrs.push_back(Attribute{"A", *Dictionary::FromValues(vals)});

@@ -515,7 +515,11 @@ TEST(ReplicatorTest, MirrorsPublishesAndDrops) {
   ASSERT_TRUE(admin.PublishBundle("alpha", DemoBundle(3)).ok());
   ASSERT_TRUE(admin.Drop("beta").ok());
   ASSERT_TRUE(f.replicator->WaitForEpoch("alpha", 2, 5000));
-  for (int spin = 0; spin < 500 && f.store->Get("beta").ok(); ++spin) {
+  // The replicator counts a drop just after the store shows it, so wait
+  // for both.
+  for (int spin = 0; spin < 500 && (f.store->Get("beta").ok() ||
+                                    f.replicator->Stats().drops == 0);
+       ++spin) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_FALSE(f.store->Get("beta").ok());

@@ -151,8 +151,9 @@ TEST(ServeStressTest, PinnedAnswersBitIdenticalAcrossConcurrentRepublish) {
   EXPECT_EQ(pinned_queries.load(), kClients * kIterations);
 
   // The writer really did move the current epoch past the pin.
-  auto current = admin.Query(QueryRequest{"pinned", std::nullopt,
-                                          PinnedRequest().queries});
+  QueryRequest unpinned = PinnedRequest();
+  unpinned.epoch = std::nullopt;
+  auto current = admin.Query(unpinned);
   ASSERT_TRUE(current.ok()) << current.status();
   EXPECT_EQ(current->epoch, 1u + kRepublishes);
 

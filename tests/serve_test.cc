@@ -2,16 +2,23 @@
 // encoding, LRU answer cache, ReleaseStore copy-on-publish snapshots, the
 // parallel batched QueryEngine (both evaluation paths), cache
 // invalidation on republish, a concurrent reader/republisher stress test,
-// and the line-delimited JSON wire protocol.
+// the line-delimited JSON wire protocol, and the TCP server's
+// thread-per-session shape (pool independence, push and stop latency, idle
+// timeouts, thread reaping).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <future>
 #include <latch>
 #include <numeric>
 #include <sstream>
 #include <thread>
 
+#include "client/in_process_client.h"
+#include "client/tcp_transport.h"
 #include "common/thread_pool.h"
 #include "core/sps.h"
 #include "core/streaming.h"
@@ -21,10 +28,13 @@
 #include "query/canonical.h"
 #include "query/evaluation.h"
 #include "query/query_pool.h"
+#include "repl/snapshot_provider.h"
 #include "serve/answer_cache.h"
 #include "serve/query_engine.h"
 #include "serve/release_store.h"
+#include "serve/server.h"
 #include "serve/wire.h"
+#include "testing_util.h"
 
 namespace recpriv::serve {
 namespace {
@@ -611,6 +621,179 @@ TEST(WireTest, ServeLinesSkipsBlanksAndCountsRequests) {
     ++count;
   }
   EXPECT_EQ(count, 2u);
+}
+
+// --- TCP server: one thread per session ------------------------------------
+
+using recpriv::testing::AnswerFingerprint;
+using recpriv::testing::DemoBundle;
+using std::chrono::milliseconds;
+using std::chrono::steady_clock;
+
+client::QueryRequest DemoRequest() {
+  client::QueryRequest request;
+  request.release = "demo";
+  request.queries.push_back(client::QuerySpec{{{"Job", "eng"}}, "flu"});
+  request.queries.push_back(
+      client::QuerySpec{{{"Job", "law"}, {"City", "south"}}, "hiv"});
+  request.queries.push_back(client::QuerySpec{{}, "bc"});
+  return request;
+}
+
+/// A server over a two-worker engine holding the demo release; the
+/// replication ops (and so push) are on.
+struct TcpServed {
+  std::shared_ptr<ReleaseStore> store;
+  std::shared_ptr<QueryEngine> engine;
+  std::unique_ptr<repl::SnapshotProvider> provider;
+  std::unique_ptr<Server> server;
+
+  static TcpServed Make(ServerOptions options = {}) {
+    TcpServed t;
+    t.store = std::make_shared<ReleaseStore>();
+    QueryEngineOptions engine_options;
+    engine_options.num_threads = 2;
+    engine_options.cache_capacity = 0;  // every query is evaluated
+    t.engine = std::make_shared<QueryEngine>(t.store, engine_options);
+    client::InProcessClient admin(t.engine);
+    EXPECT_TRUE(admin.PublishBundle("demo", DemoBundle(1)).ok());
+    t.provider = std::make_unique<repl::SnapshotProvider>(*t.store);
+    options.snapshot_provider = t.provider.get();
+    auto server = Server::Start(t.engine, options);
+    EXPECT_TRUE(server.ok()) << server.status();
+    t.server = std::move(*server);
+    return t;
+  }
+
+  std::unique_ptr<client::LineProtocolClient> Connect() const {
+    auto client = client::ConnectTcp("127.0.0.1", server->port());
+    EXPECT_TRUE(client.ok()) << client.status();
+    return client.ok() ? std::move(*client) : nullptr;
+  }
+};
+
+TEST(ServerTest, AnswersWhileEveryPoolWorkerIsBlocked) {
+  TcpServed t = TcpServed::Make();
+  client::InProcessClient admin(t.engine);
+  auto reference = admin.Query(DemoRequest());
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  auto client = t.Connect();
+  ASSERT_NE(client, nullptr);
+
+  // Park every pool worker. A session that needed a free worker would now
+  // wait for the latch; a session thread answers on its own.
+  std::latch parked(2), release(1);
+  for (int i = 0; i < 2; ++i) {
+    t.engine->pool().Submit([&] {
+      parked.count_down();
+      release.wait();
+    });
+  }
+  parked.wait();
+
+  auto pending = std::async(std::launch::async,
+                            [&] { return client->Query(DemoRequest()); });
+  const bool answered =
+      pending.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.count_down();  // unpark before any assertion can return
+  t.engine->pool().Wait();
+  EXPECT_TRUE(answered);
+  auto answer = pending.get();
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(AnswerFingerprint(*answer),
+            AnswerFingerprint(*reference));
+}
+
+TEST(ServerTest, IdleSubscriberGetsPushWithoutWaitingForATick) {
+  ServerOptions options;
+  options.poll_tick_ms = 10000;
+  TcpServed t = TcpServed::Make(options);
+  auto follower = t.Connect();
+  ASSERT_NE(follower, nullptr);
+  ASSERT_TRUE(follower->Subscribe().ok());
+  std::this_thread::sleep_for(milliseconds(50));  // let the session park
+
+  client::InProcessClient admin(t.engine);
+  ASSERT_TRUE(admin.PublishBundle("demo", DemoBundle(2)).ok());
+  const auto published = steady_clock::now();
+  auto events = follower->PollEvents(/*timeout_ms=*/5000);
+  const auto latency = steady_clock::now() - published;
+  ASSERT_TRUE(events.ok()) << events.status();
+  ASSERT_FALSE(events->empty());
+  EXPECT_EQ((*events)[0].epoch, 2u);
+  EXPECT_LT(latency, milliseconds(100));
+}
+
+TEST(ServerTest, StopWithIdleSessionsIsPrompt) {
+  ServerOptions options;
+  options.poll_tick_ms = 10000;
+  TcpServed t = TcpServed::Make(options);
+  std::vector<std::unique_ptr<client::LineProtocolClient>> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(t.Connect());
+    ASSERT_NE(clients.back(), nullptr);
+    ASSERT_TRUE(clients.back()->List().ok());
+  }
+  const auto start = steady_clock::now();
+  t.server->Stop();
+  EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(t.server->Metrics().connections_active, 0u);
+  for (auto& client : clients) EXPECT_FALSE(client->List().ok());
+}
+
+TEST(ServerTest, IdleTimeoutDropsSilentSessionAndSparesSubscriber) {
+  ServerOptions options;
+  options.idle_timeout_ms = 200;
+  TcpServed t = TcpServed::Make(options);
+  auto silent = t.Connect();
+  auto subscriber = t.Connect();
+  ASSERT_NE(silent, nullptr);
+  ASSERT_NE(subscriber, nullptr);
+  ASSERT_TRUE(silent->List().ok());
+  ASSERT_TRUE(subscriber->Subscribe().ok());
+
+  const auto deadline = steady_clock::now() + std::chrono::seconds(5);
+  while (t.server->Metrics().idle_disconnects == 0 &&
+         steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(10));
+  }
+  EXPECT_EQ(t.server->Metrics().idle_disconnects, 1u);
+  // Well past the timeout for the subscriber too: it is still served.
+  std::this_thread::sleep_for(milliseconds(2 * options.idle_timeout_ms));
+  EXPECT_FALSE(silent->List().ok());
+  EXPECT_TRUE(subscriber->List().ok());
+  EXPECT_EQ(t.server->Metrics().idle_disconnects, 1u);
+  EXPECT_EQ(t.server->Metrics().connections_active, 1u);
+}
+
+size_t ThreadCount() {
+  const std::filesystem::path tasks("/proc/self/task");
+  return size_t(std::distance(std::filesystem::directory_iterator(tasks),
+                              std::filesystem::directory_iterator()));
+}
+
+TEST(ServerTest, SessionThreadsAreReaped) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  TcpServed t = TcpServed::Make();
+  const size_t baseline = ThreadCount();
+  // One connection at a time: each cycle starts one session thread and
+  // ends it.
+  for (int i = 0; i < 200; ++i) {
+    auto client = t.Connect();
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->Query(DemoRequest()).ok());
+  }
+  const auto deadline = steady_clock::now() + std::chrono::seconds(5);
+  while ((ThreadCount() != baseline ||
+          t.server->Metrics().connections_active != 0) &&
+         steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(milliseconds(10));
+  }
+  EXPECT_EQ(ThreadCount(), baseline);
+  EXPECT_EQ(t.server->Metrics().connections_active, 0u);
+  EXPECT_EQ(t.server->Metrics().connections_accepted, 200u);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@ namespace recpriv::table {
 namespace {
 
 using recpriv::testing::HarnessSeed;
+using recpriv::testing::Numbered;
 using simd::DispatchLevel;
 
 /// Restores auto dispatch when a test scope ends, so one test's override
@@ -44,13 +45,13 @@ SchemaPtr RandomSchema(Rng& rng, size_t n_pub, size_t max_dom, size_t m) {
     const size_t dom = 1 + rng.NextUint64(max_dom);
     std::vector<std::string> values;
     for (size_t v = 0; v < dom; ++v) {
-      values.push_back("a" + std::to_string(k) + "_" + std::to_string(v));
+      values.push_back(Numbered(Numbered("a", k) + "_", v));
     }
     attrs.push_back(
-        Attribute{"A" + std::to_string(k), *Dictionary::FromValues(values)});
+        Attribute{Numbered("A", k), *Dictionary::FromValues(values)});
   }
   std::vector<std::string> sa_values;
-  for (size_t v = 0; v < m; ++v) sa_values.push_back("sa" + std::to_string(v));
+  for (size_t v = 0; v < m; ++v) sa_values.push_back(Numbered("sa", v));
   attrs.push_back(Attribute{"SA", *Dictionary::FromValues(sa_values)});
   return std::make_shared<Schema>(
       *Schema::Make(std::move(attrs), n_pub));

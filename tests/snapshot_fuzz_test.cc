@@ -147,7 +147,8 @@ TEST_F(SnapshotFuzz, RandomBitFlipsNeverYieldWrongAnswers) {
     for (size_t f = 0; f < flips; ++f) {
       const size_t pos = rng.NextUint64(bytes.size());
       bytes[pos] ^= uint8_t(1u << rng.NextUint64(8));
-      what += " " + std::to_string(pos);
+      what += ' ';
+      what += std::to_string(pos);
     }
     if (MustRejectOrMatch(bytes, what)) ++detected;
   }

@@ -270,7 +270,9 @@ TEST(Snapshot, MmapAlignment) {
   EXPECT_TRUE(aligned(st.sa_counts.data()));
   EXPECT_TRUE(aligned(st.row_offsets.data()));
   EXPECT_TRUE(aligned(st.row_values.data()));
-  if (st.packed) EXPECT_TRUE(aligned(st.packed_keys.data()));
+  if (st.packed) {
+    EXPECT_TRUE(aligned(st.packed_keys.data()));
+  }
 }
 
 TEST(Snapshot, InspectReportsIdentityAndSections) {

@@ -17,9 +17,12 @@
 #include "perturb/mle.h"
 #include "table/flat_group_index.h"
 #include "table/schema.h"
+#include "testing_util.h"
 
 namespace recpriv::core {
 namespace {
+
+using recpriv::testing::Numbered;
 
 using recpriv::perturb::UniformPerturbation;
 using recpriv::table::Attribute;
@@ -328,9 +331,9 @@ TEST(SpsGoldenTest, PublicDomainsWiderThan64Bits) {
   for (int a = 0; a < 5; ++a) {
     Dictionary d;
     for (int v = 0; v < 20000; ++v) {
-      d.GetOrAdd("a" + std::to_string(a) + "v" + std::to_string(v));
+      d.GetOrAdd(Numbered(Numbered("a", a) + "v", v));
     }
-    attrs.push_back(Attribute{"A" + std::to_string(a), std::move(d)});
+    attrs.push_back(Attribute{Numbered("A", a), std::move(d)});
   }
   attrs.push_back(
       Attribute{"SA", *Dictionary::FromValues({"s0", "s1", "s2", "s3"})});

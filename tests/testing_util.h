@@ -47,14 +47,27 @@ inline recpriv::analysis::ReleaseBundle DemoBundle(
   return *std::move(bundle);
 }
 
+/// `prefix` followed by the decimal `n`, built by appending: GCC 12 -O3
+/// misreports `"lit" + std::to_string(n)` as an overlapping copy
+/// (-Wrestrict).
+inline std::string Numbered(std::string prefix, uint64_t n) {
+  return prefix += std::to_string(n);
+}
+
 /// The identity of an answer batch, excluding the cache flags (whether a
 /// row came from the LRU is timing-dependent; the counts must not be).
 inline std::string AnswerFingerprint(const recpriv::client::BatchAnswer& batch) {
-  std::string out = batch.release + "@" + std::to_string(batch.epoch);
+  // Appends only, for the reason given at Numbered.
+  std::string out = batch.release;
+  out += '@';
+  out += std::to_string(batch.epoch);
   for (const auto& row : batch.answers) {
-    out += "|" + std::to_string(row.observed) + "," +
-           std::to_string(row.matched_size) + "," +
-           std::to_string(row.estimate);
+    out += '|';
+    out += std::to_string(row.observed);
+    out += ',';
+    out += std::to_string(row.matched_size);
+    out += ',';
+    out += std::to_string(row.estimate);
   }
   return out;
 }
