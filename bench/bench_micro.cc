@@ -1,18 +1,24 @@
 // Micro-benchmarks (google-benchmark): throughput of the core operators —
 // uniform perturbation (record and count level), MLE reconstruction, SPS,
-// group indexing, chi-squared generalization, and query evaluation.
+// group indexing, chi-squared generalization, query evaluation, and the
+// wire codec of the query op (tree path vs direct path, both ends, no
+// engine in between).
 
 #include <benchmark/benchmark.h>
 
+#include "client/api.h"
+#include "common/json.h"
 #include "common/random.h"
 #include "core/generalization.h"
 #include "core/reconstruction_privacy.h"
 #include "core/sps.h"
 #include "datagen/adult.h"
+#include "datagen/census.h"
 #include "exp/experiment.h"
 #include "perturb/mle.h"
 #include "perturb/uniform_perturbation.h"
 #include "query/evaluation.h"
+#include "serve/wire.h"
 #include "table/flat_group_index.h"
 #include "table/group_order.h"
 
@@ -192,5 +198,97 @@ void BM_MaxGroupSize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaxGroupSize);
+
+// --- the query op's wire codec -----------------------------------------------
+// One request's codec work at both ends, with the engine left out: the
+// client writes the request line, the server decodes it and writes the
+// answer line, the client decodes that. Arg 1 is a hot_point request (one
+// query), arg 32 a cold_scan one (32 queries), over the CENSUS schema the
+// served-path bench uses, with dimensionalities 1-3 as in its mixes.
+
+struct CodecCase {
+  client::QueryRequest request;
+  client::BatchAnswer answer;
+};
+
+CodecCase MakeCodecCase(size_t queries) {
+  Rng rng(11);
+  const table::Table census =
+      *datagen::GenerateCensus({.num_records = 2000}, rng);
+  const table::Schema& schema = *census.schema();
+  const std::vector<size_t> attrs = schema.public_indices();
+  CodecCase c;
+  c.request.release = "census";
+  c.answer.release = "census";
+  c.answer.epoch = 1;
+  c.answer.cache_hits = queries;
+  for (size_t q = 0; q < queries; ++q) {
+    client::QuerySpec spec;
+    const auto& sa = schema.sensitive().domain.values();
+    spec.sa = sa[rng.NextUint64(sa.size())];
+    const size_t dims = 1 + q % 3;
+    for (size_t d = 0; d < dims; ++d) {
+      const table::Attribute& attr =
+          schema.attribute(attrs[(q + d) % attrs.size()]);
+      const auto& values = attr.domain.values();
+      spec.where.emplace_back(attr.name,
+                              values[rng.NextUint64(values.size())]);
+    }
+    c.request.queries.push_back(std::move(spec));
+    c.answer.answers.push_back(client::AnswerRow{
+        rng.NextUint64(5000), 1000 + rng.NextUint64(100000),
+        rng.NextDouble() * 1e4, true});
+  }
+  return c;
+}
+
+void BM_QueryCodecTree(benchmark::State& state) {
+  const CodecCase c = MakeCodecCase(size_t(state.range(0)));
+  uint64_t id = 1;
+  for (auto _ : state) {
+    const std::string request =
+        serve::wire::EncodeQueryRequest(c.request, id).ToString();
+    const JsonValue tree = *JsonValue::Parse(request);
+    auto decoded = serve::wire::DecodeQueryRequest(tree);
+    benchmark::DoNotOptimize(decoded);
+    const std::string response =
+        serve::wire::EncodeQueryResponse(c.answer, serve::kWireVersionCurrent,
+                                         *tree.Get("id"))
+            .ToString();
+    auto answer = serve::wire::DecodeQueryResponse(
+        *serve::wire::ParseResponse(response, id));
+    benchmark::DoNotOptimize(answer);
+    ++id;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_QueryCodecTree)->Arg(1)->Arg(32);
+
+void BM_QueryCodecDirect(benchmark::State& state) {
+  const CodecCase c = MakeCodecCase(size_t(state.range(0)));
+  // What a client and a server session keep across requests.
+  std::string request;
+  std::string response;
+  client::QueryRequest decoded;
+  serve::wire::QueryEnvelope envelope;
+  uint64_t id = 1;
+  for (auto _ : state) {
+    request.clear();
+    serve::wire::WriteQueryRequest(c.request, c.request.epoch, id, request);
+    const bool taken =
+        serve::wire::ReadQueryRequest(request, &decoded, &envelope);
+    benchmark::DoNotOptimize(taken);
+    response.clear();
+    serve::wire::WriteQueryResponse(c.answer, envelope.version,
+                                    &*envelope.id, response);
+    client::BatchAnswer answer;
+    const bool read = serve::wire::ReadQueryResponse(response, id, &answer);
+    benchmark::DoNotOptimize(read);
+    benchmark::DoNotOptimize(answer);
+    ++id;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_QueryCodecDirect)->Arg(1)->Arg(32);
 
 }  // namespace

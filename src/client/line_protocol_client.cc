@@ -90,13 +90,19 @@ Result<JsonValue> LineProtocolClient::RoundTrip(const JsonValue& request,
                                                 uint64_t id) {
   RECPRIV_ASSIGN_OR_RETURN(std::string response_line,
                            transport_->RoundTrip(request.ToString()));
+  return AwaitResponse(std::move(response_line), id);
+}
+
+Result<JsonValue> LineProtocolClient::AwaitResponse(std::string response_line,
+                                                    uint64_t id) {
   // A subscribed session may receive pushed event lines in place of the
   // response; absorb each one and keep reading until the real response
   // (or anything malformed — ParseResponse rules on that) shows up.
   for (;;) {
     Result<JsonValue> parsed = JsonValue::Parse(response_line);
-    if (!parsed.ok() || !serve::wire::IsEventLine(*parsed)) {
-      return serve::wire::ParseResponse(response_line, id);
+    if (!parsed.ok()) return serve::wire::ParseResponse(response_line, id);
+    if (!serve::wire::IsEventLine(*parsed)) {
+      return serve::wire::ParseResponse(std::move(*parsed), id);
     }
     RECPRIV_RETURN_NOT_OK(AbsorbEvent(*parsed));
     RECPRIV_ASSIGN_OR_RETURN(
@@ -152,14 +158,23 @@ Result<BatchAnswer> LineProtocolClient::Query(const QueryRequest& request) {
   // An explicit epoch in the request wins; otherwise a live pin fills it
   // in, so a pinned session reads a consistent release without each call
   // site threading the epoch through.
-  QueryRequest effective = request;
-  if (!effective.epoch.has_value()) {
-    auto it = pins_.find(effective.release);
-    if (it != pins_.end()) effective.epoch = it->second;
+  std::optional<uint64_t> epoch = request.epoch;
+  if (!epoch.has_value()) {
+    auto it = pins_.find(request.release);
+    if (it != pins_.end()) epoch = it->second;
   }
-  RECPRIV_ASSIGN_OR_RETURN(
-      JsonValue response,
-      RoundTrip(serve::wire::EncodeQueryRequest(effective, id), id));
+  request_line_.clear();
+  serve::wire::WriteQueryRequest(request, epoch, id, request_line_);
+  RECPRIV_ASSIGN_OR_RETURN(std::string response_line,
+                           transport_->RoundTrip(request_line_));
+  // An ok answer decodes in one pass; errors and pushed event lines ahead
+  // of the response go the tree path.
+  BatchAnswer answer;
+  if (serve::wire::ReadQueryResponse(response_line, id, &answer)) {
+    return answer;
+  }
+  RECPRIV_ASSIGN_OR_RETURN(JsonValue response,
+                           AwaitResponse(std::move(response_line), id));
   return serve::wire::DecodeQueryResponse(response);
 }
 

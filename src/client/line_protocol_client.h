@@ -194,12 +194,16 @@ class LineProtocolClient : public Client {
   /// lines that arrive in place of the response are absorbed (buffered +
   /// side effects applied) and the read continues.
   Result<JsonValue> RoundTrip(const JsonValue& request, uint64_t id);
+  /// The envelope-checked response to request `id`, starting from the
+  /// line the transport returned for it.
+  Result<JsonValue> AwaitResponse(std::string response_line, uint64_t id);
   /// Applies one decoded event's side effects and buffers it for
   /// PollEvents.
   Status AbsorbEvent(const JsonValue& line);
 
   std::unique_ptr<LineTransport> transport_;
   uint64_t next_id_ = 1;
+  std::string request_line_;  ///< Query's request line, capacity reused
   std::vector<EpochEvent> pending_events_;
   std::map<std::string, uint64_t> pins_;
   std::map<std::string, uint64_t> latest_epoch_;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -57,7 +58,6 @@ Result<ReadResult> LineChannel::ReadLine(int timeout_ms) {
   const bool bounded = timeout_ms >= 0;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(bounded ? timeout_ms : 0);
-  std::string chunk(options_.read_chunk_bytes, '\0');
 
   for (;;) {
     if (!discarding_) {
@@ -106,44 +106,78 @@ Result<ReadResult> LineChannel::ReadLine(int timeout_ms) {
       return result;
     }
 
-    // poll() even when the budget is already spent (remaining == 0): a
-    // ReadLine(0) is the non-blocking "drain whatever is ready" call of the
-    // server's event loop, and must recv data the kernel already has.
-    const int remaining = RemainingMs(bounded, deadline);
-    struct pollfd pfd;
-    pfd.fd = fd_.get();
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int prc = ::poll(&pfd, 1, remaining);
-    if (prc < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("poll", errno);
-    }
-    if (prc == 0) return ReadResult{ReadEvent::kTimeout, {}};
-
-    const ssize_t n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return ErrnoStatus("recv", errno);
-    }
-    if (n == 0) {
-      saw_eof_ = true;
-      continue;
-    }
+    size_t n = 0;
+    RECPRIV_ASSIGN_OR_RETURN(const bool received,
+                             Receive(bounded, deadline, &n));
+    if (!received) return ReadResult{ReadEvent::kTimeout, {}};
+    if (n == 0) continue;  // EOF: handled at the top of the loop
+    const char* chunk = chunk_.get();
     if (discarding_) {
-      const char* nl =
-          static_cast<const char*>(std::memchr(chunk.data(), '\n', size_t(n)));
+      const char* nl = static_cast<const char*>(std::memchr(chunk, '\n', n));
       if (nl != nullptr) {
         // Keep whatever followed the newline: it is the next line's prefix.
-        buffer_.assign(nl + 1, size_t(chunk.data() + n - (nl + 1)));
+        buffer_.assign(nl + 1, size_t(chunk + n - (nl + 1)));
         discarding_ = false;
         return ReadResult{ReadEvent::kOversized, {}};
       }
       // Else: the oversized line continues; drop the chunk.
     } else {
-      buffer_.append(chunk.data(), size_t(n));
+      buffer_.append(chunk, n);
     }
   }
+}
+
+Result<bool> LineChannel::Receive(bool bounded, Clock::time_point deadline,
+                                  size_t* n_read) {
+  if (chunk_ == nullptr) {
+    chunk_ = std::make_unique<char[]>(options_.read_chunk_bytes);
+  }
+  for (;;) {
+    // A spent budget (a ReadLine(0), the "take what the kernel already
+    // has" call) tries the socket directly instead of polling it first.
+    const int remaining = RemainingMs(bounded, deadline);
+    if (remaining != 0) {
+      struct pollfd pfd;
+      pfd.fd = fd_.get();
+      pfd.events = POLLIN;
+      pfd.revents = 0;
+      const int prc = ::poll(&pfd, 1, remaining);
+      if (prc < 0) {
+        if (errno == EINTR) continue;
+        return ErrnoStatus("poll", errno);
+      }
+      if (prc == 0) return false;
+    }
+    const ssize_t n = ::recv(fd_.get(), chunk_.get(), options_.read_chunk_bytes,
+                             remaining == 0 ? MSG_DONTWAIT : 0);
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        if (remaining == 0) return false;
+        continue;
+      }
+      if (errno == EINTR) continue;
+      return ErrnoStatus("recv", errno);
+    }
+    if (n == 0) saw_eof_ = true;
+    *n_read = size_t(n);
+    return true;
+  }
+}
+
+bool LineChannel::HasBufferedLine() const {
+  if (saw_eof_) return true;
+  if (discarding_) return false;
+  return buffer_.size() > options_.max_line_bytes ||
+         buffer_.find('\n', scan_from_) != std::string::npos;
+}
+
+bool LineChannel::HasBufferedFrame() const {
+  if (saw_eof_) return true;
+  if (frame_discard_ > 0) return !buffer_.empty();
+  if (buffer_.size() < kFrameHeaderBytes) return false;
+  const size_t len = DecodeU32Le(buffer_.data());
+  return len > options_.max_line_bytes ||
+         buffer_.size() >= kFrameHeaderBytes + len;
 }
 
 Result<FrameResult> LineChannel::ReadFrame(int timeout_ms) {
@@ -151,7 +185,6 @@ Result<FrameResult> LineChannel::ReadFrame(int timeout_ms) {
   const bool bounded = timeout_ms >= 0;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(bounded ? timeout_ms : 0);
-  std::string chunk(options_.read_chunk_bytes, '\0');
 
   for (;;) {
     if (frame_discard_ > 0) {
@@ -205,28 +238,11 @@ Result<FrameResult> LineChannel::ReadFrame(int timeout_ms) {
       return NoFrame(ReadEvent::kEof);
     }
 
-    const int remaining = RemainingMs(bounded, deadline);
-    struct pollfd pfd;
-    pfd.fd = fd_.get();
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int prc = ::poll(&pfd, 1, remaining);
-    if (prc < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("poll", errno);
-    }
-    if (prc == 0) return NoFrame(ReadEvent::kTimeout);
-
-    const ssize_t n = ::recv(fd_.get(), chunk.data(), chunk.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return ErrnoStatus("recv", errno);
-    }
-    if (n == 0) {
-      saw_eof_ = true;
-      continue;
-    }
-    buffer_.append(chunk.data(), size_t(n));
+    size_t n = 0;
+    RECPRIV_ASSIGN_OR_RETURN(const bool received,
+                             Receive(bounded, deadline, &n));
+    if (!received) return NoFrame(ReadEvent::kTimeout);
+    buffer_.append(chunk_.get(), n);
   }
 }
 
@@ -260,9 +276,10 @@ Status LineChannel::WriteFrame(std::string_view json,
   return WriteRaw(data.data(), data.size(), timeout_ms);
 }
 
-Status LineChannel::WriteLine(const std::string& line, int timeout_ms) {
-  const std::string data = line + "\n";
-  return WriteRaw(data.data(), data.size(), timeout_ms);
+Status LineChannel::WriteLine(std::string_view line, int timeout_ms) {
+  write_buffer_.assign(line);
+  write_buffer_ += '\n';
+  return WriteRaw(write_buffer_.data(), write_buffer_.size(), timeout_ms);
 }
 
 Status LineChannel::WriteRaw(const char* data, size_t n_bytes,
@@ -273,6 +290,18 @@ Status LineChannel::WriteRaw(const char* data, size_t n_bytes,
       Clock::now() + std::chrono::milliseconds(bounded ? timeout_ms : 0);
   size_t off = 0;
   while (off < n_bytes) {
+    // Send first: a socket with room in its buffer (the usual case) takes
+    // the bytes without a poll; only a full one waits, up to the timeout.
+    const ssize_t n = ::send(fd_.get(), data + off, n_bytes - off,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      off += size_t(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return ErrnoStatus("send", errno);
+    }
     const int remaining = RemainingMs(bounded, deadline);
     if (bounded && remaining == 0) {
       return Status::IOError("write timed out (peer not reading)");
@@ -289,13 +318,6 @@ Status LineChannel::WriteRaw(const char* data, size_t n_bytes,
     if (prc == 0) {
       return Status::IOError("write timed out (peer not reading)");
     }
-    const ssize_t n =
-        ::send(fd_.get(), data + off, n_bytes - off, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-      return ErrnoStatus("send", errno);
-    }
-    off += size_t(n);
   }
   return Status::OK();
 }

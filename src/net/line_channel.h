@@ -5,8 +5,11 @@
 // can never grow server memory past `max_line_bytes` — the overlong line is
 // drained (discarded to the next newline, without buffering) and reported
 // as kOversized so the server can answer with a structured error and keep
-// the session. Every read and write polls first, so a stalled peer costs at
-// most the configured timeout, never a wedged thread.
+// the session. A read that may wait polls first and a write polls once the
+// socket buffer is full, so a stalled peer costs at most the configured
+// timeout, never a wedged thread; a non-blocking read (timeout 0) and a
+// write with room go straight to recv/send. One receive buffer lives as
+// long as the channel.
 //
 // Binary framing: a session that negotiated protocol-level binary frames
 // (the wire "hello" op, serve/wire.h) switches from ReadLine/WriteLine to
@@ -26,8 +29,10 @@
 
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -86,7 +91,7 @@ class LineChannel {
   /// Writes `line` plus '\n', looping until every byte is out or
   /// `timeout_ms` elapses without progress (< 0 waits forever). A peer that
   /// stopped reading (full socket buffer past the timeout) is an error.
-  Status WriteLine(const std::string& line, int timeout_ms);
+  Status WriteLine(std::string_view line, int timeout_ms);
 
   /// Writes exactly `n` bytes of `data` with no framing added. Fault
   /// injection (net/fault_injector.h) uses this to emit deliberately
@@ -113,6 +118,13 @@ class LineChannel {
   static std::string EncodeFrame(std::string_view json,
                                  std::string_view attachment);
 
+  /// True when the next ReadLine / ReadFrame returns without receiving:
+  /// a complete line or frame (or an oversized one to report) is
+  /// buffered, or the peer has closed. A server waits for input only
+  /// when this is false, and then reads once.
+  bool HasBufferedLine() const;
+  bool HasBufferedFrame() const;
+
   bool valid() const { return fd_.valid(); }
   int fd() const { return fd_.get(); }
 
@@ -122,6 +134,17 @@ class LineChannel {
  private:
   UniqueFd fd_;
   LineChannelOptions options_;
+  using Clock = std::chrono::steady_clock;
+
+  /// Receives once into chunk_: polls first while budget remains, else
+  /// tries the socket without blocking. True with `*n_read` bytes (0 at
+  /// EOF, which also sets saw_eof_), false on timeout.
+  Result<bool> Receive(bool bounded, Clock::time_point deadline,
+                       size_t* n_read);
+
+  /// The recv() target, read_chunk_bytes long, allocated on first read.
+  std::unique_ptr<char[]> chunk_;
+  std::string write_buffer_;  ///< WriteLine's line + '\n', capacity reused
   std::string buffer_;       ///< bytes received but not yet returned
   size_t scan_from_ = 0;     ///< buffer_ offset already scanned for '\n'
   bool discarding_ = false;  ///< inside an oversized line, dropping bytes

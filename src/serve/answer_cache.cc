@@ -26,7 +26,7 @@ void AnswerCache::Insert(const std::string& key, const CachedAnswer& value) {
     return;
   }
   lru_.emplace_front(key, value);
-  map_[key] = lru_.begin();
+  map_.emplace(lru_.front().first, lru_.begin());
   while (lru_.size() > capacity_) {
     map_.erase(lru_.back().first);
     lru_.pop_back();
@@ -35,8 +35,8 @@ void AnswerCache::Insert(const std::string& key, const CachedAnswer& value) {
 
 void AnswerCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
   map_.clear();
+  lru_.clear();
 }
 
 size_t AnswerCache::size() const {

@@ -19,6 +19,7 @@
 #include <list>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -58,7 +59,10 @@ class AnswerCache {
   const size_t capacity_;
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recent
-  std::unordered_map<std::string, std::list<Entry>::iterator> map_;
+  /// Keyed by views of the keys the list entries own, so each key is
+  /// stored once: list nodes never move, and an index entry is erased
+  /// before its node.
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> map_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

@@ -250,14 +250,32 @@ bool Server::WaitForInput(Session& session) {
 }
 
 void Server::RunSession(const SessionPtr& session) {
+  RequestContext context;
+  context.transport_stats = [this] { return Metrics(); };
+  context.snapshots = options_.snapshot_provider;
+  context.replication_stats = options_.replication_stats;
+  context.allow_binary_frame = true;
+  if (options_.snapshot_provider != nullptr) {
+    context.on_subscribe = [this, &session] {
+      if (session->subscribed) return true;  // re-subscribe is idempotent
+      session->subscribed = true;
+      std::lock_guard<std::mutex> lock(subs_mu_);
+      subscribers_.push_back(session);
+      return true;
+    };
+  }
   while (!stopping_.load()) {
     // Queued push lines go out before the next request is read, so events
     // never interleave into the middle of a response.
     if (!FlushPushes(*session)) break;
-    // Non-blocking: take what the kernel already has, then wait below. A
-    // binary session reads frames through the same buffer; the frame's
-    // JSON payload then flows through the identical dispatch path a line
-    // would.
+    // Wait only when no complete request is buffered; then one
+    // non-blocking read takes what the kernel has. A binary session reads
+    // frames through the same buffer; the frame's JSON payload then flows
+    // through the identical dispatch path a line would.
+    const bool buffered = session->binary
+                              ? session->channel.HasBufferedFrame()
+                              : session->channel.HasBufferedLine();
+    if (!buffered && !WaitForInput(*session)) break;
     Result<net::ReadResult> read = net::ReadResult{};
     if (session->binary) {
       auto frame = session->channel.ReadFrame(/*timeout_ms=*/0);
@@ -271,10 +289,9 @@ void Server::RunSession(const SessionPtr& session) {
     }
     if (!read.ok()) break;  // hard transport failure (reset, garbled frame)
     if (read->event == net::ReadEvent::kEof) break;
-    if (read->event == net::ReadEvent::kTimeout) {
-      if (!WaitForInput(*session)) break;
-      continue;
-    }
+    // Nothing complete yet: a partial request, a push wakeup, or an idle
+    // tick (WaitForInput ends the session once the timeout expires).
+    if (read->event == net::ReadEvent::kTimeout) continue;
     if (read->event == net::ReadEvent::kOversized) {
       // The response below is an answered ok:false line, so it counts as
       // a request and an error like any other (plus its own counter).
@@ -295,7 +312,8 @@ void Server::RunSession(const SessionPtr& session) {
     }
     if (IsBlank(read->line)) continue;
     session->last_activity = Clock::now();
-    if (!HandleLine(session, read->line)) break;
+    context.binary_session = session->binary;
+    if (!HandleLine(*session, context, read->line)) break;
   }
   session->channel.Close();
   active_.fetch_sub(1);
@@ -303,7 +321,7 @@ void Server::RunSession(const SessionPtr& session) {
   wake_.Notify();  // the accept thread joins this thread on its next tick
 }
 
-bool Server::WriteToSession(Session& session, const std::string& json) {
+bool Server::WriteToSession(Session& session, std::string_view json) {
   if (session.binary) {
     return session.channel
         .WriteFrame(json, std::string_view(), options_.write_timeout_ms)
@@ -312,25 +330,11 @@ bool Server::WriteToSession(Session& session, const std::string& json) {
   return session.channel.WriteLine(json, options_.write_timeout_ms).ok();
 }
 
-bool Server::HandleLine(const SessionPtr& session, const std::string& line) {
-  RequestContext context;
-  context.transport_stats = [this] { return Metrics(); };
-  context.snapshots = options_.snapshot_provider;
-  context.replication_stats = options_.replication_stats;
-  context.allow_binary_frame = true;
-  context.binary_session = session->binary;
-  if (options_.snapshot_provider != nullptr) {
-    context.on_subscribe = [this, &session] {
-      if (session->subscribed) return true;  // re-subscribe is idempotent
-      session->subscribed = true;
-      std::lock_guard<std::mutex> lock(subs_mu_);
-      subscribers_.push_back(session);
-      return true;
-    };
-  }
+bool Server::HandleLine(Session& session, const RequestContext& context,
+                        const std::string& line) {
   RequestInfo info;
-  const std::string response =
-      HandleRequestLine(line, *engine_, context, &info);
+  HandleRequestLine(line, *engine_, context, &info, &session.buffers);
+  const std::string& response = session.buffers.response;
 
   requests_.fetch_add(1);
   ops_[KnownOpIndex(info.op)].fetch_add(1);
@@ -340,26 +344,26 @@ bool Server::HandleLine(const SessionPtr& session, const std::string& line) {
     CountError(info.error_code);
   }
   if (info.pinned_epoch) epoch_pins_.fetch_add(1);
-  if (info.version > session->version) {
-    session->version = info.version;
+  if (info.version > session.version) {
+    session.version = info.version;
     if (info.version >= kWireVersionCurrent) sessions_v2_.fetch_add(1);
   }
   bool alive;
-  if (session->binary && !info.attachment.empty()) {
+  if (session.binary && !info.attachment.empty()) {
     // A bulk response (fetch_snapshot chunk): JSON + raw attachment in one
     // kFrameJsonWithBytes frame.
-    alive = session->channel
+    alive = session.channel
                 .WriteFrame(response, info.attachment,
                             options_.write_timeout_ms)
                 .ok();
   } else {
-    alive = WriteToSession(*session, response);
+    alive = WriteToSession(session, response);
   }
   // The hello response itself goes out in the old framing (above); the
   // negotiated framing applies from the next request on. Renegotiation is
   // symmetric — hello with "frame":"json" switches a binary session back.
   if (alive && info.ok && info.op == "hello") {
-    session->binary = info.negotiated_binary;
+    session.binary = info.negotiated_binary;
   }
   return alive;
 }

@@ -143,6 +143,7 @@ class Server {
     /// and pushes all switch to net::LineChannel frames.
     bool binary = false;
     bool subscribed = false;
+    SessionBuffers buffers;  ///< the direct query path's, reused per request
     std::chrono::steady_clock::time_point last_activity =
         std::chrono::steady_clock::now();
     /// The store-listener thread appends under push_mu while the session
@@ -170,10 +171,11 @@ class Server {
   /// or its idle timeout expires; false on the timeout.
   bool WaitForInput(Session& session);
   /// Handles one request line; false when the session must close.
-  bool HandleLine(const SessionPtr& session, const std::string& line);
+  bool HandleLine(Session& session, const RequestContext& context,
+                  const std::string& line);
   /// Writes one response/error JSON in the session's current framing
   /// (line, or a kFrameJson frame on binary sessions).
-  bool WriteToSession(Session& session, const std::string& json);
+  bool WriteToSession(Session& session, std::string_view json);
   /// Writes the session's queued push lines; false when the peer is gone.
   bool FlushPushes(Session& session);
   /// The ReleaseStore listener: encodes the event once and enqueues it on

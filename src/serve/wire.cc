@@ -1,6 +1,7 @@
 #include "serve/wire.h"
 
 #include <algorithm>
+#include <array>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -182,9 +183,12 @@ JsonValue EncodeStatsPayload(const client::ServerStats& stats) {
   return out;
 }
 
+}  // namespace
+
 // --- request decoding (server side) ----------------------------------------
 
-Result<client::QueryRequest> DecodeQueryRequestBody(const JsonValue& request) {
+Result<client::QueryRequest> wire::DecodeQueryRequest(
+    const JsonValue& request) {
   client::QueryRequest req;
   RECPRIV_ASSIGN_OR_RETURN(req.release, RequireString(request, "release"));
   RECPRIV_ASSIGN_OR_RETURN(req.epoch, OptionalEpoch(request));
@@ -234,6 +238,8 @@ Result<client::QueryRequest> DecodeQueryRequestBody(const JsonValue& request) {
   }
   return req;
 }
+
+namespace {
 
 // --- replication op handlers -----------------------------------------------
 
@@ -361,7 +367,7 @@ Result<JsonValue> Dispatch(const std::string& op, const JsonValue& request,
                            int64_t version, RequestInfo* info) {
   if (op == "query") {
     RECPRIV_ASSIGN_OR_RETURN(client::QueryRequest req,
-                             DecodeQueryRequestBody(request));
+                             wire::DecodeQueryRequest(request));
     RECPRIV_ASSIGN_OR_RETURN(client::BatchAnswer batch,
                              ExecuteQuery(engine, req));
     return EncodeBatchAnswerPayload(batch);
@@ -518,6 +524,11 @@ JsonValue HandleRequest(const JsonValue& request, QueryEngine& engine,
   return OkBody(version, id, std::move(*payload));
 }
 
+JsonValue wire::EncodeQueryResponse(const client::BatchAnswer& batch,
+                                    int64_t version, const JsonValue* id) {
+  return OkBody(version, id, EncodeBatchAnswerPayload(batch));
+}
+
 std::string HandleRequestLine(const std::string& line, QueryEngine& engine) {
   return HandleRequestLine(line, engine, RequestContext{}, nullptr);
 }
@@ -525,20 +536,49 @@ std::string HandleRequestLine(const std::string& line, QueryEngine& engine) {
 std::string HandleRequestLine(const std::string& line, QueryEngine& engine,
                               const RequestContext& context,
                               RequestInfo* info) {
+  SessionBuffers buffers;
+  HandleRequestLine(line, engine, context, info, &buffers);
+  return std::move(buffers.response);
+}
+
+void HandleRequestLine(const std::string& line, QueryEngine& engine,
+                       const RequestContext& context, RequestInfo* info,
+                       SessionBuffers* buffers) {
   RequestInfo scratch;
   if (info == nullptr) info = &scratch;
+  std::string& out = buffers->response;
+  out.clear();
+  wire::QueryEnvelope envelope;
+  if (wire::ReadQueryRequest(line, &buffers->query, &envelope)) {
+    // The direct path: the same fields HandleRequest fills for this line.
+    info->parsed = true;
+    info->version = envelope.version;
+    info->pinned_epoch = envelope.pinned_epoch;
+    info->op = "query";
+    const JsonValue* id = envelope.id ? &*envelope.id : nullptr;
+    Result<client::BatchAnswer> batch = ExecuteQuery(engine, buffers->query);
+    if (!batch.ok()) {
+      const ApiError error = ApiError::FromStatus(batch.status());
+      info->error_code = error.code;
+      ErrorBody(envelope.version, id, error).AppendTo(out);
+      return;
+    }
+    info->ok = true;
+    wire::WriteQueryResponse(*batch, envelope.version, id, out);
+    return;
+  }
   auto request = JsonValue::Parse(line);
   if (!request.ok()) {
     // The line never became JSON, so its protocol version is unknowable;
     // report in the current (structured) shape with the MALFORMED code.
     info->parsed = false;
     info->error_code = ErrorCode::kMalformed;
-    return ErrorBody(
-               kWireVersionCurrent, nullptr,
-               ApiError{ErrorCode::kMalformed, request.status().message()})
-        .ToString();
+    ErrorBody(kWireVersionCurrent, nullptr,
+              ApiError{ErrorCode::kMalformed, request.status().message()})
+        .AppendTo(out);
+    return;
   }
-  return HandleRequest(*request, engine, context, info).ToString();
+  HandleRequest(*request, engine, context, info).AppendTo(out);
 }
 
 std::string ErrorResponseLine(ErrorCode code, const std::string& message) {
@@ -559,6 +599,7 @@ size_t ServeLines(std::istream& in, std::ostream& out, QueryEngine& engine,
                   const RequestContext& context) {
   size_t handled = 0;
   std::string line;
+  SessionBuffers buffers;
   while (std::getline(in, line)) {
     bool blank = true;
     for (char c : line) {
@@ -568,8 +609,8 @@ size_t ServeLines(std::istream& in, std::ostream& out, QueryEngine& engine,
       }
     }
     if (blank) continue;
-    out << HandleRequestLine(line, engine, context, nullptr) << "\n"
-        << std::flush;
+    HandleRequestLine(line, engine, context, nullptr, &buffers);
+    out << buffers.response << "\n" << std::flush;
     ++handled;
   }
   return handled;
@@ -720,7 +761,10 @@ Result<JsonValue> ParseResponse(const std::string& line, uint64_t expect_id) {
     return Status::Internal("unparseable response line: " +
                             parsed.status().message());
   }
-  JsonValue response = std::move(*parsed);
+  return ParseResponse(std::move(*parsed), expect_id);
+}
+
+Result<JsonValue> ParseResponse(JsonValue response, uint64_t expect_id) {
   if (!response.is_object()) {
     return Status::Internal("response is not a JSON object");
   }
@@ -971,6 +1015,381 @@ Result<client::ReleaseDescriptor> DecodeDropResponse(
   RECPRIV_ASSIGN_OR_RETURN(const JsonValue* dropped,
                            RequireField(response, "dropped"));
   return DecodeDescriptor(*dropped);
+}
+
+// --- direct query codec ----------------------------------------------------
+
+namespace {
+
+void UintInto(uint64_t v, std::string& out) {
+  JsonNumber::Uint(v).AppendTo(out);
+}
+
+/// Appends one QuerySpec's where-clause object as JsonValue::Set would
+/// hold it: sorted by attribute, the last binding of a repeated attribute
+/// winning. A clause is a handful of bindings, so a stable insertion sort
+/// of pointers on the stack orders it without allocating.
+void WhereInto(const std::vector<std::pair<std::string, std::string>>& where,
+               std::string& out) {
+  using Binding = std::pair<std::string, std::string>;
+  std::array<const Binding*, 16> stack;
+  std::vector<const Binding*> heap;
+  if (where.size() > stack.size()) heap.resize(where.size());
+  const Binding** sorted = heap.empty() ? stack.data() : heap.data();
+  for (size_t n = 0; n < where.size(); ++n) {
+    size_t i = n;
+    for (; i > 0 && where[n].first < sorted[i - 1]->first; --i) {
+      sorted[i] = sorted[i - 1];
+    }
+    sorted[i] = &where[n];
+  }
+  out += '{';
+  bool first = true;
+  for (size_t i = 0; i < where.size(); ++i) {
+    if (i + 1 < where.size() && sorted[i + 1]->first == sorted[i]->first) {
+      continue;  // a later binding of the same attribute wins
+    }
+    if (!first) out += ',';
+    first = false;
+    json::EscapeInto(sorted[i]->first, out);
+    out += ':';
+    json::EscapeInto(sorted[i]->second, out);
+  }
+  out += '}';
+}
+
+/// Reads a number as JsonNumber::AsUint64 / AsInt take it.
+bool ReadUint(JsonReader& r, uint64_t& dst) {
+  JsonNumber n;
+  if (!r.ReadNumber(&n)) return false;
+  const Result<uint64_t> v = n.AsUint64();
+  if (!v.ok()) return false;
+  dst = *v;
+  return true;
+}
+
+bool ReadInt(JsonReader& r, int64_t& dst) {
+  JsonNumber n;
+  if (!r.ReadNumber(&n)) return false;
+  const Result<int64_t> v = n.AsInt();
+  if (!v.ok()) return false;
+  dst = *v;
+  return true;
+}
+
+/// Reads a string value into `dst` (capacity reused).
+bool ReadStringInto(JsonReader& r, std::string& dst, std::string* scratch) {
+  std::string_view s;
+  if (!r.ReadString(&s, scratch)) return false;
+  dst.assign(s.data(), s.size());
+  return true;
+}
+
+/// Marks `bit` seen in `seen`; false when it already was (a repeated key:
+/// the tree keeps the last value, which the direct path leaves to it).
+bool FirstSight(unsigned& seen, unsigned bit) {
+  if ((seen & bit) != 0) return false;
+  seen |= bit;
+  return true;
+}
+
+/// One element of "queries" into `spec` (buffers reused).
+bool ReadQuerySpec(JsonReader& r, client::QuerySpec& spec,
+                   std::string* scratch) {
+  enum : unsigned { kWhere = 1, kSa = 2 };
+  unsigned seen = 0;
+  size_t bindings = 0;
+  if (!r.BeginObject()) return false;
+  std::string_view key;
+  bool more = false;
+  while (r.NextMember(&key, scratch, &more) && more) {
+    if (key == "where") {
+      if (!FirstSight(seen, kWhere) || !r.BeginObject()) return false;
+      bool attrs = false;
+      while (r.NextMember(&key, scratch, &attrs) && attrs) {
+        if (bindings == spec.where.size()) spec.where.emplace_back();
+        auto& [attr, value] = spec.where[bindings++];
+        attr.assign(key.data(), key.size());
+        if (!ReadStringInto(r, value, scratch)) return false;
+      }
+      if (!r.ok()) return false;
+    } else if (key == "sa") {
+      if (!FirstSight(seen, kSa) || !ReadStringInto(r, spec.sa, scratch)) {
+        return false;
+      }
+    } else if (!JsonValue::Read(r).ok()) {
+      return false;
+    }
+  }
+  if (!r.ok() || (seen & kSa) == 0) return false;
+  spec.where.resize(bindings);
+  // HandleRequest binds in the tree's key order; a repeated attribute is
+  // the tree's to resolve.
+  const auto by_attr = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  std::sort(spec.where.begin(), spec.where.end(), by_attr);
+  return std::adjacent_find(spec.where.begin(), spec.where.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first == b.first;
+                            }) == spec.where.end();
+}
+
+}  // namespace
+
+void WriteQueryRequest(const client::QueryRequest& request,
+                       std::optional<uint64_t> epoch, uint64_t id,
+                       std::string& out) {
+  out += '{';
+  if (request.deadline_ms.has_value()) {
+    out += "\"deadline_ms\":";
+    JsonNumber::Int(*request.deadline_ms).AppendTo(out);
+    out += ',';
+  }
+  if (epoch.has_value()) {
+    out += "\"epoch\":";
+    UintInto(*epoch, out);
+    out += ',';
+  }
+  out += "\"id\":";
+  UintInto(id, out);
+  out += ",\"op\":\"query\",\"queries\":[";
+  for (size_t q = 0; q < request.queries.size(); ++q) {
+    const client::QuerySpec& spec = request.queries[q];
+    if (q > 0) out += ',';
+    out += "{\"sa\":";
+    json::EscapeInto(spec.sa, out);
+    if (!spec.where.empty()) {
+      out += ",\"where\":";
+      WhereInto(spec.where, out);
+    }
+    out += '}';
+  }
+  out += "],\"release\":";
+  json::EscapeInto(request.release, out);
+  if (!request.tenant.empty()) {
+    out += ",\"tenant\":";
+    json::EscapeInto(request.tenant, out);
+  }
+  out += ",\"v\":2}";
+}
+
+bool ReadQueryRequest(std::string_view line, client::QueryRequest* request,
+                      QueryEnvelope* envelope) {
+  enum : unsigned {
+    kV = 1,
+    kId = 2,
+    kOp = 4,
+    kRelease = 8,
+    kEpoch = 16,
+    kQueries = 32,
+    kTenant = 64,
+    kDeadline = 128,
+  };
+  JsonReader r(line);
+  std::string scratch;
+  unsigned seen = 0;
+  size_t queries = 0;
+  request->epoch.reset();
+  request->tenant.clear();
+  request->deadline_ms.reset();
+  *envelope = QueryEnvelope{};
+  if (!r.BeginObject()) return false;
+  std::string_view key;
+  bool more = false;
+  while (r.NextMember(&key, &scratch, &more) && more) {
+    if (key == "v") {
+      int64_t& v = envelope->version;
+      if (!FirstSight(seen, kV) || !ReadInt(r, v) ||
+          (v != kWireVersionLegacy && v != kWireVersionCurrent)) {
+        return false;
+      }
+    } else if (key == "id") {
+      if (!FirstSight(seen, kId)) return false;
+      Result<JsonValue> id = JsonValue::Read(r);
+      if (!id.ok()) return false;
+      envelope->id = std::move(*id);
+    } else if (key == "op") {
+      std::string_view op;
+      if (!FirstSight(seen, kOp) || !r.ReadString(&op, &scratch) ||
+          op != "query") {
+        return false;
+      }
+    } else if (key == "release") {
+      if (!FirstSight(seen, kRelease) ||
+          !ReadStringInto(r, request->release, &scratch)) {
+        return false;
+      }
+    } else if (key == "epoch") {
+      if (!FirstSight(seen, kEpoch) ||
+          !ReadUint(r, request->epoch.emplace())) {
+        return false;
+      }
+    } else if (key == "queries") {
+      if (!FirstSight(seen, kQueries) || !r.BeginArray()) return false;
+      bool element = false;
+      while (r.NextElement(&element) && element) {
+        if (queries == request->queries.size()) request->queries.emplace_back();
+        if (!ReadQuerySpec(r, request->queries[queries++], &scratch)) {
+          return false;
+        }
+      }
+      if (!r.ok()) return false;
+    } else if (key == "tenant") {
+      if (!FirstSight(seen, kTenant) ||
+          !ReadStringInto(r, request->tenant, &scratch)) {
+        return false;
+      }
+    } else if (key == "deadline_ms") {
+      int64_t& deadline = request->deadline_ms.emplace();
+      if (!FirstSight(seen, kDeadline) || !ReadInt(r, deadline) ||
+          deadline < 0) {
+        return false;
+      }
+    } else if (!JsonValue::Read(r).ok()) {
+      return false;
+    }
+  }
+  if (!r.End()) return false;
+  constexpr unsigned kRequired = kOp | kRelease | kQueries;
+  if ((seen & kRequired) != kRequired) return false;
+  request->queries.resize(queries);
+  envelope->pinned_epoch = (seen & kEpoch) != 0;
+  return true;
+}
+
+void WriteQueryResponse(const client::BatchAnswer& batch, int64_t version,
+                        const JsonValue* id, std::string& out) {
+  out += "{\"answers\":[";
+  for (size_t i = 0; i < batch.answers.size(); ++i) {
+    const client::AnswerRow& a = batch.answers[i];
+    if (i > 0) out += ',';
+    out += a.cached ? "{\"cached\":true" : "{\"cached\":false";
+    out += ",\"estimate\":";
+    json::NumberInto(a.estimate, out);
+    out += ",\"matched_size\":";
+    UintInto(a.matched_size, out);
+    out += ",\"observed\":";
+    UintInto(a.observed, out);
+    out += '}';
+  }
+  out += "],\"cache_hits\":";
+  UintInto(batch.cache_hits, out);
+  out += ",\"cache_misses\":";
+  UintInto(batch.cache_misses, out);
+  out += ",\"epoch\":";
+  UintInto(batch.epoch, out);
+  if (id != nullptr) {
+    out += ",\"id\":";
+    id->AppendTo(out);
+  }
+  out += ",\"ok\":true,\"release\":";
+  json::EscapeInto(batch.release, out);
+  if (version >= kWireVersionCurrent) out += ",\"v\":2";
+  out += '}';
+}
+
+bool ReadQueryResponse(std::string_view line, uint64_t expect_id,
+                       client::BatchAnswer* out) {
+  enum : unsigned {
+    kAnswers = 1,
+    kHits = 2,
+    kMisses = 4,
+    kEpoch = 8,
+    kId = 16,
+    kOk = 32,
+    kRelease = 64,
+    kV = 128,
+  };
+  JsonReader r(line);
+  std::string scratch;
+  unsigned seen = 0;
+  size_t rows = 0;
+  if (!r.BeginObject()) return false;
+  std::string_view key;
+  bool more = false;
+  while (r.NextMember(&key, &scratch, &more) && more) {
+    if (key == "ok") {
+      bool ok = false;
+      if (!FirstSight(seen, kOk) || !r.ReadBool(&ok) || !ok) return false;
+    } else if (key == "v") {
+      int64_t v = 0;
+      if (!FirstSight(seen, kV) || !ReadInt(r, v) ||
+          v != kWireVersionCurrent) {
+        return false;
+      }
+    } else if (key == "id") {
+      int64_t id = 0;
+      if (!FirstSight(seen, kId) || !ReadInt(r, id) ||
+          uint64_t(id) != expect_id) {
+        return false;
+      }
+    } else if (key == "release") {
+      if (!FirstSight(seen, kRelease) ||
+          !ReadStringInto(r, out->release, &scratch)) {
+        return false;
+      }
+    } else if (key == "epoch") {
+      if (!FirstSight(seen, kEpoch) || !ReadUint(r, out->epoch)) return false;
+    } else if (key == "cache_hits") {
+      if (!FirstSight(seen, kHits) || !ReadUint(r, out->cache_hits)) {
+        return false;
+      }
+    } else if (key == "cache_misses") {
+      if (!FirstSight(seen, kMisses) || !ReadUint(r, out->cache_misses)) {
+        return false;
+      }
+    } else if (key == "answers") {
+      if (!FirstSight(seen, kAnswers) || !r.BeginArray()) return false;
+      bool element = false;
+      while (r.NextElement(&element) && element) {
+        if (rows == out->answers.size()) out->answers.emplace_back();
+        client::AnswerRow& row = out->answers[rows++];
+        enum : unsigned { kObserved = 1, kMatched = 2, kEstimate = 4,
+                          kCached = 8 };
+        unsigned fields = 0;
+        if (!r.BeginObject()) return false;
+        bool member = false;
+        while (r.NextMember(&key, &scratch, &member) && member) {
+          if (key == "observed") {
+            if (!FirstSight(fields, kObserved) || !ReadUint(r, row.observed)) {
+              return false;
+            }
+          } else if (key == "matched_size") {
+            if (!FirstSight(fields, kMatched) ||
+                !ReadUint(r, row.matched_size)) {
+              return false;
+            }
+          } else if (key == "estimate") {
+            JsonNumber n;
+            if (!FirstSight(fields, kEstimate) || !r.ReadNumber(&n)) {
+              return false;
+            }
+            row.estimate = n.AsDouble();
+          } else if (key == "cached") {
+            if (!FirstSight(fields, kCached) || !r.ReadBool(&row.cached)) {
+              return false;
+            }
+          } else if (!JsonValue::Read(r).ok()) {
+            return false;
+          }
+        }
+        if (!r.ok() || fields != (kObserved | kMatched | kEstimate | kCached)) {
+          return false;
+        }
+      }
+      if (!r.ok()) return false;
+    } else if (key == "event" || !JsonValue::Read(r).ok()) {
+      // An event line is the push stream's, not a response.
+      return false;
+    }
+  }
+  if (!r.End() || seen != (kAnswers | kHits | kMisses | kEpoch | kId | kOk |
+                           kRelease | kV)) {
+    return false;
+  }
+  out->answers.resize(rows);
+  return true;
 }
 
 // --- replication codec -----------------------------------------------------

@@ -182,10 +182,31 @@ JsonValue HandleRequest(const JsonValue& request, QueryEngine& engine,
 
 /// Parses one request line and dispatches it; the returned string is the
 /// serialized one-line response (no trailing newline).
+///
+/// A well-formed "query" line takes the direct path: it is decoded
+/// straight into a client::QueryRequest (wire::ReadQueryRequest) and its
+/// answer written straight to the response (wire::WriteQueryResponse),
+/// with no JsonValue tree on either side. Every other line — control ops,
+/// and any query line the direct decoder does not take — goes through
+/// JsonValue::Parse + HandleRequest, so its response bytes are exactly
+/// the tree's.
 std::string HandleRequestLine(const std::string& line, QueryEngine& engine);
 std::string HandleRequestLine(const std::string& line, QueryEngine& engine,
                               const RequestContext& context,
                               RequestInfo* info);
+
+/// What a front end keeps per session so the direct query path reuses its
+/// buffers from one request to the next: the decoded request (its vectors
+/// and strings keep their capacity) and the response line.
+struct SessionBuffers {
+  client::QueryRequest query;
+  std::string response;
+};
+
+/// HandleRequestLine into `buffers->response` (overwritten).
+void HandleRequestLine(const std::string& line, QueryEngine& engine,
+                       const RequestContext& context, RequestInfo* info,
+                       SessionBuffers* buffers);
 
 /// A standalone v2-shaped error response line (no id echo) for conditions
 /// the dispatcher never sees: an oversized request line, a connection
@@ -243,6 +264,8 @@ JsonValue EncodeDropRequest(const std::string& release, uint64_t id);
 /// must carry ok:true and echo `expect_id`; a server-reported error
 /// becomes its mapped Status.
 Result<JsonValue> ParseResponse(const std::string& line, uint64_t expect_id);
+/// The same, for a line the caller already parsed.
+Result<JsonValue> ParseResponse(JsonValue response, uint64_t expect_id);
 
 Result<std::vector<client::ReleaseDescriptor>> DecodeListResponse(
     const JsonValue& response);
@@ -271,6 +294,56 @@ Result<client::SnapshotChunk> DecodeFetchSnapshotResponse(
     const JsonValue& response);
 Result<client::SnapshotChunk> DecodeFetchSnapshotResponse(
     const JsonValue& response, const std::string* attachment);
+
+// --- direct query codec (both ends) ------------------------------------------
+// The "query" op read and written without a JsonValue tree. Each function
+// produces exactly the bytes or values of its tree counterpart — the golden
+// transcripts pin the key order (std::map order) and the number format
+// (json::NumberInto) — and the tree functions stay as the reference they
+// are tested against. A reader returns false for anything it does not take
+// (another op, an event line, an error response, a duplicate key, any
+// grammar or shape error); the caller then goes the tree path, which owns
+// every error message.
+
+/// The tree reference of ReadQueryRequest: the request HandleRequest
+/// dispatches for a parsed "query" op (the envelope fields aside).
+Result<client::QueryRequest> DecodeQueryRequest(const JsonValue& request);
+
+/// The tree reference of WriteQueryResponse: the ok response HandleRequest
+/// sends for `batch` in protocol `version`, echoing `id` when non-null.
+JsonValue EncodeQueryResponse(const client::BatchAnswer& batch,
+                              int64_t version, const JsonValue* id);
+
+/// Appends EncodeQueryRequest(request, id).ToString(), except that
+/// `epoch` (the request's own, or a session pin) replaces request.epoch.
+void WriteQueryRequest(const client::QueryRequest& request,
+                       std::optional<uint64_t> epoch, uint64_t id,
+                       std::string& out);
+
+/// The envelope of a query line that ReadQueryRequest took.
+struct QueryEnvelope {
+  int64_t version = kWireVersionLegacy;
+  std::optional<JsonValue> id;  ///< echoed verbatim on the response
+  bool pinned_epoch = false;    ///< the line carried "epoch"
+};
+
+/// Decodes a query request line into `request` (fully overwritten, its
+/// buffers reused). True only when HandleRequest would dispatch the same
+/// request: a JSON object with "op":"query", a supported "v", a string
+/// "release", an array of query objects, well-typed optional fields, and
+/// no repeated key.
+bool ReadQueryRequest(std::string_view line, client::QueryRequest* request,
+                      QueryEnvelope* envelope);
+
+/// Appends EncodeQueryResponse(batch, version, id).ToString().
+void WriteQueryResponse(const client::BatchAnswer& batch, int64_t version,
+                        const JsonValue* id, std::string& out);
+
+/// Decodes an ok query response line for request `expect_id` into `out`.
+/// True only when ParseResponse + DecodeQueryResponse would return the
+/// same answer; false for errors, event lines, and anything unexpected.
+bool ReadQueryResponse(std::string_view line, uint64_t expect_id,
+                       client::BatchAnswer* out);
 
 // --- session framing codec ---------------------------------------------------
 

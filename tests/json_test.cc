@@ -94,6 +94,10 @@ TEST(JsonTest, ParseErrors) {
   EXPECT_FALSE(JsonValue::Parse("\"\\uD834\\uDD1E\"").ok());
   EXPECT_TRUE(JsonValue::Parse("\"\xF0\x9D\x84\x9E\"").ok());
   EXPECT_FALSE(JsonValue::Parse("1.2.3").ok());
+  // Beyond the double range: no writer could print the value back.
+  EXPECT_FALSE(JsonValue::Parse("1e400").ok());
+  EXPECT_FALSE(JsonValue::Parse("[-184467440E73709551615]").ok());
+  EXPECT_TRUE(JsonValue::Parse("1e-400").ok());  // underflow reads as 0
 }
 
 TEST(JsonTest, RoundTripCompact) {

@@ -10,7 +10,12 @@
 //     code is in the stable taxonomy (v2 shape), or the v1 flat string
 //     when the request negotiated v1;
 //   * a request that carried an "id" gets it echoed back, verbatim;
-//   * the dispatcher never crashes, hangs, or emits unstructured output.
+//   * the dispatcher never crashes, hangs, or emits unstructured output;
+//   * the response is byte-identical, error text included, to the tree
+//     path's (JsonValue::Parse + HandleRequest) on a twin engine that has
+//     seen the same lines — so the direct query codec (wire::
+//     ReadQueryRequest / WriteQueryResponse) never answers differently
+//     from the reference, whatever the line.
 //
 // Everything is seeded from one Rng (common/random.h), so a failure
 // reproduces exactly; the failing input line is printed by the assertion.
@@ -71,6 +76,17 @@ std::vector<std::string> ValidCorpus() {
       R"({"v":2,"id":22,"op":"schema","release":"demo","epoch":1e18})",
       R"({"v":2,"id":23,"op":"schema","release":"demo","epoch":-1})",
       R"({"v":2,"id":24,"op":"schema","release":"demo","epoch":18446744073709551616})",
+      // the direct query codec's territory: every optional field, escapes,
+      // key order, repeated and unknown keys, odd ids and versions
+      R"({"deadline_ms":86400000,"epoch":1,"id":30,"op":"query","queries":[{"sa":"flu","where":{"City":"north","Job":"eng"}},{"sa":"hiv","where":{}}],"release":"demo","tenant":"t\u00e9","v":2})",
+      R"({"v":2,"id":31,"op":"query","release":"demo","queries":[{"where":{"Job":"law","City":"south"},"sa":"bc"}]})",
+      R"({"v":2,"id":32,"op":"query","release":"demo","queries":[{"where":{"Job":"eng","Job":"law"},"sa":"flu"}]})",
+      R"({"v":2,"id":33,"id":34,"op":"query","release":"demo","queries":[{"sa":"flu"}]})",
+      R"({"v":2,"id":39,"op":"query","release":"demo","queries":[{"where":{"Job":"eng"},"where":{"City":"north"},"sa":"flu","sa":"hiv"}],"queries":[{"sa":"bc"}]})",
+      R"({"v":2,"id":"thirty-five","op":"query","release":"demo","extra":[1,{"x":null}],"queries":[{"sa":"flu","note":true}]})",
+      R"({"v":2.0,"id":{"n":36},"op":"query","release":"demo","queries":[],"deadline_ms":0})",
+      R"({"v":1,"id":37,"op":"query","release":"demo","tenant":"","queries":[{"where":{"Job":"nope"},"sa":"flu"}]})",
+      R"(  {"id":38,"op":"query","release":"d\u0065mo","queries":[{"sa":"fl\u0075"}],"epoch":2}  )",
   };
 }
 
@@ -232,28 +248,79 @@ void CheckResponseContract(const std::string& input,
   }
 }
 
+/// The tree path alone: what HandleRequestLine answered before the direct
+/// query codec, and still answers for every line that codec does not take.
+std::string TreeReference(const std::string& line, QueryEngine& engine,
+                          RequestInfo* info) {
+  auto request = JsonValue::Parse(line);
+  if (!request.ok()) {
+    info->error_code = client::ErrorCode::kMalformed;
+    return ErrorResponseLine(client::ErrorCode::kMalformed,
+                             request.status().message());
+  }
+  return HandleRequest(*request, engine, RequestContext{}, info).ToString();
+}
+
+/// Drops the stats payload's "store" array: its per-release load timings
+/// differ between any two engines. (Its entries are flat objects, which is
+/// what the golden-session harness relies on for the same strip.)
+std::string WithoutStoreTimings(std::string response) {
+  const size_t begin = response.find("\"store\":[");
+  if (begin == std::string::npos) return response;
+  const size_t end = response.find(']', begin);
+  if (end == std::string::npos) return response;
+  response.erase(begin, end + 1 - begin);
+  return response;
+}
+
 class WireFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    store_ = std::make_shared<ReleaseStore>();
     QueryEngineOptions options;
     options.num_threads = 2;
-    engine_ = std::make_unique<QueryEngine>(store_, options);
-    ASSERT_TRUE(store_->Publish("demo", DemoBundle(2015)).ok());
-  }
-
-  /// Feeds one line and checks the contract. Republishes "demo" when a
-  /// fuzzed drop actually removed it, so later query lines still have a
-  /// live release to land on.
-  void Feed(const std::string& line) {
-    CheckResponseContract(line, HandleRequestLine(line, *engine_));
-    if (!store_->Get("demo").ok()) {
-      ASSERT_TRUE(store_->Publish("demo", DemoBundle(2015)).ok());
+    for (Twin* twin : {&served_, &reference_}) {
+      twin->store = std::make_shared<ReleaseStore>();
+      twin->engine = std::make_unique<QueryEngine>(twin->store, options);
+      ASSERT_TRUE(twin->store->Publish("demo", DemoBundle(2015)).ok());
     }
   }
 
-  std::shared_ptr<ReleaseStore> store_;
-  std::unique_ptr<QueryEngine> engine_;
+  /// Feeds one line to HandleRequestLine, checks the contract, and checks
+  /// the response and request info against the tree reference. Republishes
+  /// "demo" when a fuzzed drop actually removed it, so later query lines
+  /// still have a live release to land on.
+  void Feed(const std::string& line) {
+    RequestInfo info;
+    const std::string response =
+        HandleRequestLine(line, *served_.engine, RequestContext{}, &info);
+    CheckResponseContract(line, response);
+    RequestInfo want;
+    ASSERT_EQ(WithoutStoreTimings(response),
+              WithoutStoreTimings(
+                  TreeReference(line, *reference_.engine, &want)))
+        << "direct path differs from the tree for: " << line;
+    ASSERT_EQ(info.parsed, want.parsed) << line;
+    ASSERT_EQ(info.ok, want.ok) << line;
+    ASSERT_EQ(info.version, want.version) << line;
+    ASSERT_EQ(info.pinned_epoch, want.pinned_epoch) << line;
+    ASSERT_EQ(info.op, want.op) << line;
+    ASSERT_EQ(info.error_code, want.error_code) << line;
+    for (Twin* twin : {&served_, &reference_}) {
+      if (!twin->store->Get("demo").ok()) {
+        ASSERT_TRUE(twin->store->Publish("demo", DemoBundle(2015)).ok());
+      }
+    }
+  }
+
+  /// The engine under test and the reference's twin: both hold the same
+  /// release and see the same lines, so their caches (and so the
+  /// "cached" / hit / miss fields of every answer) stay in step.
+  struct Twin {
+    std::shared_ptr<ReleaseStore> store;
+    std::unique_ptr<QueryEngine> engine;
+  };
+  Twin served_;
+  Twin reference_;
 };
 
 TEST_F(WireFuzzTest, ValidCorpusSatisfiesContract) {
@@ -290,7 +357,7 @@ TEST_F(WireFuzzTest, IntegralWireFieldsAreExactAboveTwoToThe53) {
   // never crash. 9007199254740993 (2^53 + 1) rounds to 2^53 in a double.
   const std::string line =
       R"({"v":2,"id":1,"op":"schema","release":"demo","epoch":9007199254740993})";
-  auto response = JsonValue::Parse(HandleRequestLine(line, *engine_));
+  auto response = JsonValue::Parse(HandleRequestLine(line, *served_.engine));
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(*(*response->Get("ok"))->AsBool());
 
@@ -298,7 +365,7 @@ TEST_F(WireFuzzTest, IntegralWireFieldsAreExactAboveTwoToThe53) {
   // rejected outright: the codec refuses to guess which integer was meant.
   const std::string sloppy =
       R"({"v":2,"id":2,"op":"schema","release":"demo","epoch":1e18})";
-  response = JsonValue::Parse(HandleRequestLine(sloppy, *engine_));
+  response = JsonValue::Parse(HandleRequestLine(sloppy, *served_.engine));
   ASSERT_TRUE(response.ok());
   EXPECT_FALSE(*(*response->Get("ok"))->AsBool());
   auto code = (*(*response->Get("error"))->Get("code"))->AsString();
@@ -307,7 +374,7 @@ TEST_F(WireFuzzTest, IntegralWireFieldsAreExactAboveTwoToThe53) {
 
   // The id survives byte-for-byte even at UINT64_MAX.
   const std::string huge_id = R"({"v":2,"id":18446744073709551615,"op":"list"})";
-  response = JsonValue::Parse(HandleRequestLine(huge_id, *engine_));
+  response = JsonValue::Parse(HandleRequestLine(huge_id, *served_.engine));
   ASSERT_TRUE(response.ok());
   EXPECT_EQ((*response->Get("id"))->ToString(), "18446744073709551615");
 }
@@ -316,7 +383,7 @@ TEST_F(WireFuzzTest, EmptyAndWhitespaceLines) {
   // ServeLines skips blanks; HandleRequestLine itself must still answer
   // structurally if handed one.
   for (const std::string line : {"", " ", "\t", "   \t "}) {
-    CheckResponseContract(line, HandleRequestLine(line, *engine_));
+    Feed(line);
   }
 }
 
