@@ -56,7 +56,9 @@ struct SnapshotSource {
   /// (mmap'd from a persisted .rps file — see src/store/), or
   /// "incremental" (delta-merge republish — ReleaseStore::PublishIncremental).
   std::string kind = "memory";
-  double open_ms = 0.0;   ///< map + validate + decode manifest ("snapshot")
+  /// The whole open of a "snapshot": map, verify, decode, then assemble
+  /// (so it includes the posting build that build_ms also reports).
+  double open_ms = 0.0;
   double parse_ms = 0.0;  ///< CSV + manifest parse ("csv")
   double build_ms = 0.0;  ///< group-index and/or posting-index build
   uint64_t bytes_mapped = 0;  ///< mmap'd bytes kept alive ("snapshot")

@@ -179,7 +179,7 @@ struct StoreReleaseStats {
   std::string release;
   uint64_t epoch = 0;
   std::string source;           ///< "memory" | "csv" | "snapshot"
-  double open_ms = 0.0;         ///< map + verify + decode ("snapshot")
+  double open_ms = 0.0;         ///< whole open: map..assemble ("snapshot")
   double parse_ms = 0.0;        ///< CSV + manifest parse ("csv")
   double build_ms = 0.0;        ///< index / posting build
   uint64_t bytes_mapped = 0;    ///< mmap'd bytes held alive ("snapshot")

@@ -1,8 +1,10 @@
 #include "serve/release_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <thread>
 #include <utility>
 
 #include "common/timer.h"
@@ -263,42 +265,79 @@ Status ReleaseStore::SaveSnapshot(const std::string& name,
   return recpriv::store::WriteSnapshot(*snap, name, path);
 }
 
-Result<ReleaseInfo> ReleaseStore::OpenSnapshot(const std::string& path) {
+Result<ReleaseStore::OpenedFile> ReleaseStore::OpenFile(
+    const std::string& path) {
   RECPRIV_ASSIGN_OR_RETURN(recpriv::store::OpenedSnapshot opened,
                            recpriv::store::OpenSnapshot(path));
-  const std::string name = opened.release;
-  if (name.empty()) {
+  if (opened.release.empty()) {
     return Status::DataLoss(path + ": snapshot has an empty release name");
   }
-  const uint64_t epoch = opened.snapshot->epoch;
-  ReleaseInfo info;
-  std::vector<uint64_t> evicted;
+  return OpenedFile{path, std::move(opened.release),
+                    std::move(opened.snapshot)};
+}
+
+Result<std::vector<ReleaseInfo>> ReleaseStore::InstallOpened(
+    std::vector<OpenedFile> files) {
+  std::vector<ReleaseInfo> infos;
   std::vector<StoreEvent> events;
-  events.push_back(
-      {StoreEvent::Kind::kInstall, name, epoch, opened.snapshot, nullptr});
+  std::vector<std::pair<std::string, uint64_t>> evicted;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = releases_.find(name);
-    if (it != releases_.end()) {
-      for (const SnapshotPtr& snap : it->second) {
-        if (snap->epoch == epoch) {
-          return Status::AlreadyExists("epoch " + std::to_string(epoch) +
-                                       " of release '" + name +
-                                       "' is already installed");
+    // Every check runs before the first install, so a rejected batch
+    // leaves the store, its listeners and its directory untouched.
+    std::map<std::pair<std::string, uint64_t>, const std::string*> batch;
+    for (const OpenedFile& file : files) {
+      const uint64_t epoch = file.snapshot->epoch;
+      const auto what = [&] {
+        return "epoch " + std::to_string(epoch) + " of release '" +
+               file.release + "'";
+      };
+      auto it = releases_.find(file.release);
+      if (it != releases_.end()) {
+        for (const SnapshotPtr& snap : it->second) {
+          if (snap->epoch == epoch) {
+            return Status::AlreadyExists(what() + " is already installed");
+          }
         }
       }
+      const auto [seen, fresh] =
+          batch.emplace(std::pair(file.release, epoch), &file.path);
+      if (!fresh) {
+        return Status::AlreadyExists(what() + " is in both " + *seen->second +
+                                     " and " + file.path);
+      }
     }
-    evicted = InstallLocked(name, std::move(opened.snapshot));
-    uint64_t& next = next_epoch_[name];
-    next = std::max(next, epoch);
-    info = InfoLocked(name, releases_[name]);
+    for (OpenedFile& file : files) {
+      const uint64_t epoch = file.snapshot->epoch;
+      events.push_back({StoreEvent::Kind::kInstall, file.release, epoch,
+                        file.snapshot, nullptr});
+      for (const uint64_t e : InstallLocked(file.release,
+                                            std::move(file.snapshot))) {
+        evicted.emplace_back(file.release, e);
+        events.push_back(
+            {StoreEvent::Kind::kRetire, file.release, e, nullptr, nullptr});
+      }
+      uint64_t& next = next_epoch_[file.release];
+      next = std::max(next, epoch);
+      infos.push_back(InfoLocked(file.release, releases_[file.release]));
+    }
   }
-  for (const uint64_t e : evicted) {
-    if (!snapshot_dir_.empty()) std::remove(ManagedPath(name, e).c_str());
-    events.push_back({StoreEvent::Kind::kRetire, name, e, nullptr, nullptr});
+  if (!snapshot_dir_.empty()) {
+    for (const auto& [name, e] : evicted) {
+      std::remove(ManagedPath(name, e).c_str());
+    }
   }
   Notify(events);
-  return info;
+  return infos;
+}
+
+Result<ReleaseInfo> ReleaseStore::OpenSnapshot(const std::string& path) {
+  RECPRIV_ASSIGN_OR_RETURN(OpenedFile file, OpenFile(path));
+  std::vector<OpenedFile> files;
+  files.push_back(std::move(file));
+  RECPRIV_ASSIGN_OR_RETURN(std::vector<ReleaseInfo> infos,
+                           InstallOpened(std::move(files)));
+  return std::move(infos.front());
 }
 
 Status ReleaseStore::RecoverFromDir() {
@@ -334,17 +373,49 @@ Status ReleaseStore::RecoverFromDir() {
   }
   // Crash leftovers: nothing resumes from them, so they would only leak.
   for (const std::string& path : stale) std::remove(path.c_str());
-  // Deterministic order; the window trim keeps the newest epochs whatever
-  // the order, but error messages and eviction order stay reproducible.
+  // Deterministic order: errors name the first failing file in path
+  // order, and installs (so evictions and listener events) follow it.
   std::sort(paths.begin(), paths.end());
-  for (const std::string& path : paths) {
-    const auto installed = OpenSnapshot(path);
-    if (!installed.ok()) {
-      return Status(installed.status().code(),
-                    "snapshot recovery failed: " +
-                        installed.status().message());
+  const auto failed = [](const Status& status) {
+    return Status(status.code(),
+                  "snapshot recovery failed: " + status.message());
+  };
+
+  // Open phase: each file is mapped, checksummed, decoded and indexed on
+  // its own thread (at most one per hardware thread; the caller is one of
+  // them). Files are claimed in path order, so once one fails every
+  // earlier file is already claimed and the rest can be skipped.
+  std::vector<Status> statuses(paths.size());
+  std::vector<OpenedFile> files(paths.size());
+  std::atomic<size_t> next{0};
+  std::atomic<bool> any_failed{false};
+  const auto drain = [&] {
+    while (!any_failed.load()) {
+      const size_t i = next++;
+      if (i >= paths.size()) return;
+      Result<OpenedFile> opened = OpenFile(paths[i]);
+      if (opened.ok()) {
+        files[i] = std::move(*opened);
+      } else {
+        statuses[i] = opened.status();
+        any_failed = true;
+      }
     }
+  };
+  {
+    const size_t threads = std::min<size_t>(
+        paths.size(), std::max(1u, std::thread::hardware_concurrency()));
+    std::vector<std::jthread> helpers;  // joined when the scope ends
+    for (size_t t = 1; t < threads; ++t) helpers.emplace_back(drain);
+    drain();
   }
+  for (const Status& status : statuses) {
+    if (!status.ok()) return failed(status);
+  }
+
+  // Install phase: all of the files or none of them.
+  const auto installed = InstallOpened(std::move(files));
+  if (!installed.ok()) return failed(installed.status());
   return Status::OK();
 }
 

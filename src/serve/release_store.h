@@ -206,10 +206,15 @@ class ReleaseStore {
   /// Recovers every `*.rps` file under snapshot_dir (creating the
   /// directory if absent), first deleting the temp files a crash can leave
   /// there (`*.rps.tmp` from an atomic write, `*.rps.part` from a
-  /// follower's transfer) — nothing ever resumes from them. Fails fast
-  /// with the offending path on the first unreadable or corrupt file — a
-  /// durable store that silently skipped a corrupt epoch would serve
-  /// different data than it persisted.
+  /// follower's transfer) — nothing ever resumes from them. The files are
+  /// opened and fully verified in parallel (at most one thread per file
+  /// and per hardware thread, all joined before return), then installed
+  /// in path order in one step: all of them or none. When any file is
+  /// unreadable or corrupt, or two files carry the same (release, epoch)
+  /// (AlreadyExists, naming both paths), nothing is installed, no listener
+  /// hears an event and no file is deleted; the error names the first
+  /// failing file in path order — a durable store that silently skipped a
+  /// corrupt epoch would serve different data than it persisted.
   /// FailedPrecondition when the store has no snapshot directory.
   Status RecoverFromDir();
 
@@ -229,6 +234,23 @@ class ReleaseStore {
   /// the store is durable, should now be deleted). Caller holds mu_.
   std::vector<uint64_t> InstallLocked(const std::string& name,
                                       SnapshotPtr snap);
+  /// One verified snapshot file on its way into the store.
+  struct OpenedFile {
+    std::string path;
+    std::string release;  ///< from the manifest, never empty
+    SnapshotPtr snapshot;
+  };
+  /// Maps and verifies `path` (store::OpenSnapshot) and rejects an empty
+  /// release name. Touches no store state, so it may run on any thread.
+  static Result<OpenedFile> OpenFile(const std::string& path);
+  /// The one install path of OpenSnapshot and RecoverFromDir. Checks that
+  /// no (release, epoch) of `files` is already installed or carried twice
+  /// (AlreadyExists), and only then installs every file in order under one
+  /// critical section, advancing each name's epoch counter past the file's
+  /// epoch. Deletes the files of evicted epochs and notifies listeners
+  /// (per file: its install, then its retires). Returns each file's
+  /// post-install ReleaseInfo.
+  Result<std::vector<ReleaseInfo>> InstallOpened(std::vector<OpenedFile> files);
   /// Fans `events` out to every listener, in order. Caller must NOT hold
   /// mu_ (listeners may read the store).
   void Notify(const std::vector<StoreEvent>& events) const;

@@ -398,7 +398,6 @@ Result<OpenedSnapshot> OpenSnapshot(const std::string& path) {
   analysis::SnapshotSource source;
   source.kind = "snapshot";
   source.bytes_mapped = file.size();
-  source.open_ms = timer.Millis();
   // The snapshot's index borrows the mapping; hand ownership of the map to
   // the snapshot so the file stays mapped exactly as long as it is served.
   auto backing = std::make_shared<MappedFile>(std::move(map));
@@ -406,6 +405,11 @@ Result<OpenedSnapshot> OpenSnapshot(const std::string& path) {
       std::move(bundle), manifest.epoch, std::move(*index), std::move(source),
       std::move(backing));
   if (!assembled.ok()) return DataLossFrom(assembled.status(), path);
+  // open_ms times the whole open, posting build and content digest
+  // included. The snapshot is not shared yet, and AssembleSnapshot made it
+  // as a non-const object, so finishing its provenance here is sound.
+  std::const_pointer_cast<analysis::ReleaseSnapshot>(*assembled)
+      ->source.open_ms = timer.Millis();
   return OpenedSnapshot{std::move(manifest.release), std::move(*assembled)};
 }
 

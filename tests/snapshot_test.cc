@@ -587,6 +587,180 @@ TEST(ReleaseStorePersistence, DuplicateEpochInstallIsAlreadyExists) {
   EXPECT_EQ(again.status().code(), StatusCode::kAlreadyExists);
 }
 
+/// The sorted file names of the `.rps` files under `dir`.
+std::vector<std::string> RpsFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().extension() == ".rps") {
+      names.push_back(e.path().filename().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Publishes `epochs` epochs of each of the releases r0..r{releases-1}
+/// into a durable store over `dir`, retaining every one of them.
+void PublishReleases(const std::string& dir, size_t releases, size_t epochs) {
+  serve::ReleaseStore::Options options;
+  options.retained_epochs = epochs;
+  options.snapshot_dir = dir;
+  serve::ReleaseStore store(options);
+  ASSERT_TRUE(store.RecoverFromDir().ok());
+  for (size_t r = 0; r < releases; ++r) {
+    for (size_t e = 0; e < epochs; ++e) {
+      const auto published = store.Publish(
+          "r" + std::to_string(r), recpriv::testing::DemoBundle(100 * r + e));
+      ASSERT_TRUE(published.ok()) << published.status().ToString();
+    }
+  }
+}
+
+void FlipMiddleByte(const std::string& path) {
+  std::vector<uint8_t> bytes = ReadFileBytes(path);
+  bytes[bytes.size() / 2] ^= 0x01;
+  WriteFileBytes(path, bytes);
+}
+
+/// "install r0@3", "retire r0@1", ... — what a listener saw, in order.
+std::string Describe(const serve::StoreEvent& event) {
+  static constexpr const char* kKinds[] = {"install", "retire", "drop"};
+  return std::string(kKinds[static_cast<int>(event.kind)]) + " " +
+         event.release + "@" + std::to_string(event.epoch);
+}
+
+TEST(ReleaseStorePersistence, CorruptMiddleFileInstallsNothing) {
+  const std::string dir = TempDir("recover_corrupt_middle");
+  PublishReleases(dir, /*releases=*/3, /*epochs=*/4);
+  const std::vector<std::string> files = RpsFiles(dir);
+  ASSERT_EQ(files.size(), 12u);
+  const std::string corrupt = dir + "/r1-e2.rps";
+  FlipMiddleByte(corrupt);
+
+  // A window of 2 makes the files before the corrupt one evict (and so
+  // delete) their oldest epochs if they are installed before the check.
+  serve::ReleaseStore::Options options;
+  options.retained_epochs = 2;
+  options.snapshot_dir = dir;
+  serve::ReleaseStore restarted(options);
+  std::vector<std::string> events;
+  restarted.AddListener([&](const serve::StoreEvent& event) {
+    events.push_back(Describe(event));
+  });
+  const Status recovered = restarted.RecoverFromDir();
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(recovered.message().rfind("snapshot recovery failed: ", 0), 0u)
+      << recovered.message();
+  EXPECT_NE(recovered.message().find(corrupt), std::string::npos)
+      << recovered.message();
+  EXPECT_TRUE(restarted.List().empty());
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(RpsFiles(dir), files);
+
+  // With a second, later corrupt file the error still names the first one
+  // in path order, whichever thread failed first.
+  FlipMiddleByte(dir + "/r2-e4.rps");
+  const Status again = restarted.RecoverFromDir();
+  ASSERT_FALSE(again.ok());
+  EXPECT_NE(again.message().find(corrupt), std::string::npos)
+      << again.message();
+  EXPECT_TRUE(restarted.List().empty());
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(RpsFiles(dir), files);
+}
+
+TEST(ReleaseStorePersistence, TwoFilesWithOneEpochInstallNothing) {
+  const std::string dir = TempDir("recover_dup_epoch");
+  PublishReleases(dir, /*releases=*/1, /*epochs=*/2);
+  // The same image under a second name: same manifest, same (r0, 2).
+  const std::string original = dir + "/r0-e2.rps";
+  const std::string copy = dir + "/zz-copy.rps";
+  fs::copy_file(original, copy);
+  const std::vector<std::string> files = RpsFiles(dir);
+
+  serve::ReleaseStore::Options options;
+  options.retained_epochs = 1;
+  options.snapshot_dir = dir;
+  serve::ReleaseStore restarted(options);
+  std::vector<std::string> events;
+  restarted.AddListener([&](const serve::StoreEvent& event) {
+    events.push_back(Describe(event));
+  });
+  const Status recovered = restarted.RecoverFromDir();
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(recovered.message().rfind("snapshot recovery failed: ", 0), 0u)
+      << recovered.message();
+  EXPECT_NE(recovered.message().find(original), std::string::npos)
+      << recovered.message();
+  EXPECT_NE(recovered.message().find(copy), std::string::npos)
+      << recovered.message();
+  EXPECT_TRUE(restarted.List().empty());
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(RpsFiles(dir), files);
+}
+
+TEST(ReleaseStorePersistence, ParallelRecoveryMatchesOneAtATimeOpens) {
+  // More files than hardware threads, and more epochs than the window.
+  const std::string dir = TempDir("recover_parallel");
+  const std::string reference_dir = TempDir("recover_parallel_reference");
+  PublishReleases(dir, /*releases=*/3, /*epochs=*/5);
+  for (const std::string& name : RpsFiles(dir)) {
+    fs::copy_file(dir + "/" + name, reference_dir + "/" + name);
+  }
+  serve::ReleaseStore::Options options;
+  options.retained_epochs = 4;
+  options.snapshot_dir = dir;
+  serve::ReleaseStore recovered(options);
+  std::vector<std::string> recovered_events;
+  recovered.AddListener([&](const serve::StoreEvent& event) {
+    recovered_events.push_back(Describe(event));
+  });
+  ASSERT_TRUE(recovered.RecoverFromDir().ok());
+
+  options.snapshot_dir = reference_dir;
+  serve::ReleaseStore reference(options);
+  std::vector<std::string> reference_events;
+  reference.AddListener([&](const serve::StoreEvent& event) {
+    reference_events.push_back(Describe(event));
+  });
+  for (const std::string& name : RpsFiles(reference_dir)) {
+    const auto opened = reference.OpenSnapshot(reference_dir + "/" + name);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  }
+
+  EXPECT_EQ(recovered_events, reference_events);
+  EXPECT_EQ(RpsFiles(dir), RpsFiles(reference_dir));
+  EXPECT_EQ(RpsFiles(dir).size(), 12u);  // each release's epoch 1 is gone
+  const std::vector<serve::ReleaseInfo> infos = recovered.List();
+  ASSERT_EQ(infos.size(), 3u);
+  for (const serve::ReleaseInfo& info : infos) {
+    SCOPED_TRACE(info.name);
+    EXPECT_EQ(info.oldest_epoch, 2u);
+    EXPECT_EQ(info.epoch, 5u);
+    const auto window = recovered.Window(info.name);
+    const auto reference_window = reference.Window(info.name);
+    ASSERT_TRUE(window.ok());
+    ASSERT_TRUE(reference_window.ok());
+    ASSERT_EQ(window->size(), reference_window->size());
+    for (size_t i = 0; i < window->size(); ++i) {
+      EXPECT_EQ((*window)[i]->epoch, (*reference_window)[i]->epoch);
+      EXPECT_EQ((*window)[i]->content_digest,
+                (*reference_window)[i]->content_digest);
+    }
+    // Both continue the epoch sequence past the recovered window.
+    const auto next = recovered.Publish(info.name,
+                                        recpriv::testing::DemoBundle(7));
+    const auto reference_next =
+        reference.Publish(info.name, recpriv::testing::DemoBundle(7));
+    ASSERT_TRUE(next.ok());
+    ASSERT_TRUE(reference_next.ok());
+    EXPECT_EQ((*next)->epoch, 6u);
+    EXPECT_EQ((*reference_next)->epoch, 6u);
+  }
+}
+
 TEST(ReleaseStorePersistence, SanitizedFilenamesForHostileNames) {
   const std::string dir = TempDir("hostile_names");
   serve::ReleaseStore::Options options;
